@@ -2,9 +2,10 @@
 // model-under-test construction.
 //
 // Every bench binary regenerates one table or figure of the paper (see
-// DESIGN.md §4). Absolute numbers differ from the paper's V100 (this substrate
-// is a 2-core CPU plus an analytic GPU model), so each bench ends with
-// SHAPE-CHECK lines asserting the paper's *qualitative* claim.
+// DESIGN.md §4). Absolute numbers differ from the paper's V100 (the substrate
+// is a multi-core CPU, sized by DSX_THREADS or the hardware concurrency, plus
+// an analytic GPU model), so each bench ends with SHAPE-CHECK lines asserting
+// the paper's *qualitative* claim.
 #pragma once
 
 #include <chrono>

@@ -7,15 +7,16 @@
 // launch-amortization argument the paper's SIV makes against fine-grained
 // GEMM composition. Following the repo's substrate substitution (DESIGN.md,
 // bench/fig13), the bench reports BOTH:
-//   * measured CPU serving numbers from the real DynamicBatcher pipeline
-//     (QPS, p50/p99) - informative; this 1-2 core substrate is compute-bound,
+//   * measured CPU serving numbers from the real batcher pipeline
+//     (QPS, p50/p99) - informative; the CPU substrate is compute-bound,
 //     so batching mostly amortizes scheduler handoffs here; and
 //   * modeled V100 serving throughput: the per-batch kernel-launch log
 //     replayed through gpusim, where the >= 2x batched-vs-batch-1 claim is
 //     asserted (SHAPE-CHECK), exactly as the paper's GPU-side figures are.
 //
-// Every measured configuration goes through the same DynamicBatcher code
-// path; only max_batch varies, so the comparison isolates batching itself.
+// Every measured configuration goes through the same batcher code path
+// (shard::DeadlineBatcher, the one every served replica runs); only
+// max_batch varies, so the comparison isolates batching itself.
 //
 // Output: a table plus one JSON line per configuration (machine-readable,
 // prefixed "JSON "), then SHAPE-CHECK verdicts in the bench_common style.
@@ -36,8 +37,8 @@
 #include "gpusim/device_spec.hpp"
 #include "gpusim/estimator.hpp"
 #include "obs/obs.hpp"
-#include "serve/batcher.hpp"
 #include "serve/compiled_model.hpp"
+#include "shard/deadline_batcher.hpp"
 
 namespace {
 
@@ -71,7 +72,7 @@ Result run_config(dsx::serve::CompiledModel& model, int64_t max_batch,
     res.modeled_qps = static_cast<double>(max_batch) / t;
   }
 
-  serve::DynamicBatcher batcher(
+  shard::DeadlineBatcher batcher(
       model, {.max_batch = max_batch,
               .max_delay = std::chrono::microseconds(1000),
               .metric_model = metric_model});
@@ -102,7 +103,7 @@ Result run_config(dsx::serve::CompiledModel& model, int64_t max_batch,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
 
-  const serve::BatcherStats stats = batcher.stats();
+  const serve::BatcherStats stats = batcher.stats().batcher;
   res.qps = static_cast<double>(stats.requests) / elapsed;
   res.p50_ms = stats.latency.p50_ms;
   res.p99_ms = stats.latency.p99_ms;

@@ -71,10 +71,10 @@ Result run_config(int replicas, int64_t image, int64_t max_batch,
   res.replicas = replicas;
 
   shard::ReplicaSet set(make_prototype(image, max_batch),
-                        {.replicas = replicas,
-                         .policy = shard::RoutingPolicy::kLeastOutstanding,
-                         .max_batch = max_batch,
-                         .max_delay = std::chrono::microseconds(1000)});
+                        {.max_batch = max_batch,
+                         .max_delay = std::chrono::microseconds(1000),
+                         .replicas = replicas,
+                         .policy = shard::RoutingPolicy::kLeastOutstanding});
 
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<std::thread> workers;

@@ -26,12 +26,14 @@
 // comparison) -> canary (25% of real requests by deterministic hash) ->
 // promote (zero-downtime hot-swap) - with per-version stats printed at each
 // step.
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <mutex>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -39,6 +41,7 @@
 #include "deploy/deploy.hpp"
 #include "models/mobilenet.hpp"
 #include "net/net.hpp"
+#include "nn/layer.hpp"
 #include "nn/sgd.hpp"
 #include "nn/trainer.hpp"
 #include "obs/obs.hpp"
@@ -180,7 +183,7 @@ int run_shard_demo(int replicas) {
 
   const serve::ModelStats stats = server.stats("mobilenet-scc");
   if (!stats.shard.has_value()) {
-    std::printf("(replicas=1: served by the single FIFO batcher)\n");
+    std::printf("(replicas=1: served by a single batcher)\n");
     std::printf("  requests %lld, p99 %.2f ms\n",
                 static_cast<long long>(stats.batcher.requests),
                 stats.batcher.latency.p99_ms);
@@ -215,12 +218,41 @@ int run_shard_demo(int replicas) {
              : 1;
 }
 
+/// Pass-through layer that holds the first forward after it is armed for
+/// 80 ms: the demo's forced tail outlier, one genuinely slow batch that the
+/// flight recorder sees end to end.
+class SlowWhenArmed : public dsx::nn::Layer {
+ public:
+  explicit SlowWhenArmed(std::shared_ptr<std::atomic<bool>> armed)
+      : armed_(std::move(armed)) {}
+  dsx::Tensor forward(const dsx::Tensor& input, bool /*training*/) override {
+    if (armed_->exchange(false)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(80));
+    }
+    return input;
+  }
+  dsx::Tensor backward(const dsx::Tensor& doutput) override { return doutput; }
+  std::unique_ptr<dsx::nn::Layer> clone() const override {
+    return std::make_unique<SlowWhenArmed>(armed_);
+  }
+  dsx::Shape output_shape(const dsx::Shape& input) const override {
+    return input;
+  }
+  std::string name() const override { return "SlowWhenArmed"; }
+
+ private:
+  std::shared_ptr<std::atomic<bool>> armed_;
+};
+
 int run_metrics_endpoint_demo(int port, double slo_p99_ms, bool profile) {
   using namespace dsx;
   const int64_t image = 16;
   Rng rng(7);
+  auto net = models::build_mobilenet(10, scheme(), rng);
+  auto slow_armed = std::make_shared<std::atomic<bool>>(false);
+  net->emplace<SlowWhenArmed>(slow_armed);
   auto compiled = std::make_unique<serve::CompiledModel>(
-      models::build_mobilenet(10, scheme(), rng), Shape{3, image, image},
+      std::move(net), Shape{3, image, image},
       serve::CompileOptions{.max_batch = 8});
   std::printf("model: MobileNet %s, serving with a live telemetry endpoint\n",
               scheme().to_string().c_str());
@@ -269,20 +301,13 @@ int run_metrics_endpoint_demo(int port, double slo_p99_ms, bool profile) {
   }
 
   // Force one genuine tail outlier so /outliers, the /metrics exemplars and
-  // their /trace timelines have something real to show: a helper thread
-  // holds the process execution lock ~80 ms while one request is in flight,
-  // so that request's reply-time latency trips the (lowered) absolute
-  // threshold and the flight recorder promotes its capture.
+  // their /trace timelines have something real to show: the armed layer
+  // holds the next batch ~80 ms, so its request's reply-time latency trips
+  // the (lowered) absolute threshold and the flight recorder promotes its
+  // capture.
   obs::flight::set_absolute_threshold_us(50'000);
-  {
-    std::thread holder([] {
-      std::lock_guard<std::mutex> lock(serve::execution_mutex());
-      std::this_thread::sleep_for(std::chrono::milliseconds(80));
-    });
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    (void)server.infer("mobilenet-scc", requests[0]);
-    holder.join();
-  }
+  slow_armed->store(true);
+  (void)server.infer("mobilenet-scc", requests[0]);
   std::printf("flight recorder: %lld capture(s) promoted; "
               "curl http://127.0.0.1:%d/outliers\n",
               static_cast<long long>(obs::flight::flight_stats().promoted),

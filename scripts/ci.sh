@@ -10,7 +10,8 @@
 #                                 BENCH_simd_gemm.json)
 #                                plus the deploy canary walkthrough and the
 #                                net wire smoke (separate client process)
-#   scripts/ci.sh --fast       - skip the smoke benches (tier-1 only)
+#   scripts/ci.sh --fast       - skip the smoke benches (tier-1 and the
+#                                serving stress tier only)
 #   scripts/ci.sh --sanitize   - additionally build Debug + ASan/UBSan in
 #                                build-sanitize/ and run the tier-1 suite
 #                                under the sanitizers (test_simd included:
@@ -19,10 +20,13 @@
 #                                then build Debug + TSan in build-tsan/ and
 #                                run the obs string-interning and exemplar
 #                                seqlock suites (Intern.*, ExemplarSeqlock.*),
-#                                the thread-pool accounting suite
-#                                (PoolAccounting.*) and the full net suite
-#                                (ingress event loop + dispatch pool +
-#                                residency single-flight) under it
+#                                the thread-pool suites (ThreadPool.*:
+#                                concurrent submitters + nested-launch
+#                                errors; PoolAccounting.*), compiles racing
+#                                live serving on the global pool, and the
+#                                full net suite (ingress event loop +
+#                                dispatch pool + residency single-flight)
+#                                under it
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -48,6 +52,13 @@ echo "== tier-1 tests =="
 # --timeout backstops the per-test TIMEOUT property from CMakeLists: a
 # deadlocked batcher fails fast instead of hanging CI.
 ctest --test-dir build --output-on-failure -j"${JOBS}" --timeout 300
+
+echo "== serving stress tier (20x, until-fail) =="
+# The serving suites race batchers, compiles, hot-swaps and wire traffic on
+# shared pools; a race that fires one run in twenty fails here instead of
+# slipping through a single green run.
+ctest --test-dir build --output-on-failure -j"${JOBS}" --timeout 300 \
+  -R '^(test_serve|test_shard|test_deploy|test_net)$' --repeat until-fail:20
 
 if [[ "${FAST}" != "1" ]]; then
   echo "== serve throughput (smoke, json) =="
@@ -142,7 +153,7 @@ if [[ "${FAST}" != "1" ]]; then
            kill "${SRV_PID}"; exit 1; }
 
     # Flight recorder end to end: the demo forces one genuinely slow request
-    # (execution lock held ~80 ms against a 50 ms threshold), so /outliers
+    # (a layer holds one batch ~80 ms against a 50 ms threshold), so /outliers
     # must carry a promoted capture with the per-phase span breakdown, a
     # fresh exposition scrape must attach its trace id as an OpenMetrics
     # exemplar on a native bucket line, and that id must resolve to real
@@ -323,20 +334,27 @@ if [[ "${SANITIZE}" == "1" ]]; then
   # tier runs only the obs primitives whose thread-safety must hold to the
   # letter: obs::intern() (concurrent span recorders dereference its
   # pointers forever), the exemplar seqlock (atomic payloads ordered by
-  # fences - a plain-field version was a real data race), and the
-  # thread-pool busy/idle accounting (relaxed counters read by concurrent
-  # pool_stats() snapshotters while workers accumulate).
+  # fences - a plain-field version was a real data race), the thread pool's
+  # own launch exclusion, and its busy/idle accounting (relaxed counters
+  # read by concurrent pool_stats() snapshotters while workers accumulate).
   echo "== configure (TSan Debug) =="
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Debug -DDSX_SANITIZE_THREAD=ON
 
-  echo "== build (TSan Debug, test_obs + test_device + test_net) =="
-  cmake --build build-tsan -j"${JOBS}" --target test_obs test_device test_net
+  echo "== build (TSan Debug, test_obs + test_device + test_serve + test_net) =="
+  cmake --build build-tsan -j"${JOBS}" \
+    --target test_obs test_device test_serve test_net
 
   echo "== obs intern + exemplar-seqlock tests (TSan) =="
   ./build-tsan/test_obs --gtest_filter='Intern.*:ExemplarSeqlock.*'
 
-  echo "== thread-pool accounting tests (TSan) =="
-  ./build-tsan/test_device --gtest_filter='PoolAccounting.*'
+  echo "== thread-pool exclusion + accounting tests (TSan) =="
+  # The pool owns its exclusion: concurrent submitters, nested launches
+  # that must throw instead of deadlocking, and the busy/idle counters.
+  ./build-tsan/test_device --gtest_filter='ThreadPool.*:PoolAccounting.*'
+
+  echo "== compiles racing live serving on the global pool (TSan) =="
+  ./build-tsan/test_serve \
+    --gtest_filter='InferenceServer.CompilesDuringLiveTrafficOnTheGlobalPool'
 
   echo "== net ingress + residency tests (TSan) =="
   # The whole suite is TSan-clean: the event thread owns all connection

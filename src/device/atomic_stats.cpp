@@ -86,6 +86,16 @@ LogHistogram::BucketSnapshot LogHistogram::bucket_snapshot() const {
   return s;
 }
 
+void LogHistogram::BucketSnapshot::merge(const BucketSnapshot& other) {
+  count += other.count;
+  sum += other.sum;
+  min = std::min(min, other.min);
+  max = std::max(max, other.max);
+  for (int b = 0; b < kBuckets; ++b) {
+    buckets[static_cast<size_t>(b)] += other.buckets[static_cast<size_t>(b)];
+  }
+}
+
 LogHistogram::Snapshot LogHistogram::snapshot() const {
   // Cumulative = the delta against an empty baseline; one quantile
   // implementation serves both the lifetime and the windowed views.
@@ -158,8 +168,10 @@ void LogHistogram::reset() {
 
 // ---- LatencyStats ---------------------------------------------------------
 
-LatencyStats::Snapshot LatencyStats::snapshot() const {
-  const LogHistogram::Snapshot h = hist_.snapshot();
+LatencyStats::Snapshot LatencyStats::from_buckets(
+    const LogHistogram::BucketSnapshot& buckets) {
+  const LogHistogram::Snapshot h =
+      LogHistogram::delta_snapshot(buckets, LogHistogram::BucketSnapshot{});
   Snapshot s;
   s.count = h.count;
   s.mean_ms = h.mean / 1e6;

@@ -83,6 +83,10 @@ class LogHistogram {
     int64_t min = INT64_MAX;  // raw sentinel; INT64_MAX = nothing recorded
     int64_t max = 0;
     std::array<int64_t, kBuckets> buckets{};
+
+    /// Adds `other`'s samples bucket by bucket: the result is what one
+    /// histogram that recorded both sample streams would hold.
+    void merge(const BucketSnapshot& other);
   };
 
   /// Records one sample; negative values clamp to 0. Wait-free (a handful
@@ -159,7 +163,10 @@ class LatencyStats {
   void record_ns(int64_t ns) { hist_.record(ns); }
   /// Consistent-enough copy for reporting (relaxed reads; exact only when
   /// writers are quiescent). Empty stats snapshot as all zeros.
-  Snapshot snapshot() const;
+  Snapshot snapshot() const { return from_buckets(hist_.bucket_snapshot()); }
+  /// The millisecond view of nanosecond buckets (e.g. several merged
+  /// LatencyStats histograms).
+  static Snapshot from_buckets(const LogHistogram::BucketSnapshot& buckets);
   void reset() { hist_.reset(); }
 
   /// The underlying unit-agnostic histogram (nanosecond samples).

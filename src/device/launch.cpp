@@ -12,19 +12,9 @@ KernelLog& KernelLog::instance() {
   return log;
 }
 
-void KernelLog::set_enabled(bool on) {
-  std::lock_guard<std::mutex> lock(mu_);
-  enabled_ = on;
-}
-
-bool KernelLog::enabled() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return enabled_;
-}
-
 void KernelLog::append(KernelRecord record) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (enabled_) records_.push_back(std::move(record));
+  if (enabled()) records_.push_back(std::move(record));
 }
 
 std::vector<KernelRecord> KernelLog::snapshot() const {

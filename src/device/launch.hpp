@@ -9,6 +9,7 @@
 // produce the paper's GPU-side figures.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -40,8 +41,12 @@ class KernelLog {
  public:
   static KernelLog& instance();
 
-  void set_enabled(bool on);
-  bool enabled() const;
+  void set_enabled(bool on) {
+    enabled_.store(on, std::memory_order_relaxed);
+  }
+  /// One relaxed load: every launch asks, and the answer is almost always
+  /// "no".
+  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
   void append(KernelRecord record);
   std::vector<KernelRecord> snapshot() const;
@@ -49,8 +54,8 @@ class KernelLog {
 
  private:
   KernelLog() = default;
-  mutable std::mutex mu_;
-  bool enabled_ = false;
+  std::atomic<bool> enabled_{false};
+  mutable std::mutex mu_;  // guards records_
   std::vector<KernelRecord> records_;
 };
 

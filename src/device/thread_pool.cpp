@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <string>
+#include <utility>
 
 #include "common/check.hpp"
 
@@ -27,6 +28,11 @@ std::vector<ThreadPool*>& named_pools() {
   static std::vector<ThreadPool*> pools;
   return pools;
 }
+
+// The pool whose launch the calling thread takes part in: set for a worker's
+// whole life and for a submitter while its run_chunks is in flight. A launch
+// on that same pool would wait for the submit lock its own launch holds.
+thread_local const ThreadPool* t_running_on = nullptr;
 
 }  // namespace
 
@@ -71,6 +77,7 @@ std::vector<ThreadPool::PoolStats> ThreadPool::pool_stats() {
 }
 
 void ThreadPool::worker_loop(unsigned worker_index) {
+  t_running_on = this;
   uint64_t seen_generation = 0;
   for (;;) {
     Task task;
@@ -114,15 +121,26 @@ void ThreadPool::worker_loop(unsigned worker_index) {
 void ThreadPool::run_chunks(int64_t total,
                             const std::function<void(int64_t, int64_t)>& fn) {
   DSX_REQUIRE(total >= 0, "run_chunks: negative range");
+  DSX_REQUIRE(t_running_on != this,
+              "run_chunks: nested launch on the pool this thread is running "
+              "on ('" << name_ << "')");
   if (total == 0) return;
   const int64_t nthreads = static_cast<int64_t>(size());
   const int64_t chunk = (total + nthreads - 1) / nthreads;
+
+  // One launch at a time: later submitters wait here until this launch's
+  // chunks have all finished.
+  const std::lock_guard<std::mutex> submit(submit_mu_);
+  struct RestoreRunningOn {
+    const ThreadPool* saved;
+    ~RestoreRunningOn() { t_running_on = saved; }
+  } restore{std::exchange(t_running_on, this)};
 
   // Chunk 0 runs on the calling thread; the rest go to workers.
   int64_t my_end = std::min<int64_t>(chunk, total);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    DSX_CHECK(pending_ == 0, "run_chunks is not reentrant");
+    DSX_CHECK(pending_ == 0, "run_chunks: overlapping launches");
     first_error_ = nullptr;
     unsigned used = 0;
     for (unsigned i = 0; i < tasks_.size(); ++i) {

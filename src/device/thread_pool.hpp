@@ -4,6 +4,13 @@
 // kernels are expressed as per-thread work functions over a flat index space
 // (see device/launch.hpp), and the pool executes those index spaces with
 // static chunking, one chunk per worker, like an OpenMP `parallel for`.
+//
+// Like a GPU's single command queue, a pool runs one launch at a time and
+// enforces that itself: concurrent run_chunks callers queue on the pool's
+// submit lock, so any thread may launch on any pool without an external
+// lock. Re-entering the pool a thread is already running on (a chunk body,
+// or the submitter's own chunk, launching on the same pool) would wait on
+// itself, so it throws dsx::Error instead.
 #pragma once
 
 #include <atomic>
@@ -72,6 +79,9 @@ class ThreadPool {
   /// Runs fn(begin, end) over [0, total) split into one contiguous chunk per
   /// pool thread (the calling thread executes one chunk too). Blocks until
   /// every chunk finished. Exceptions from chunks are rethrown (first one).
+  /// Thread-safe: concurrent callers run one launch at a time, in lock
+  /// order. Throws dsx::Error when the calling thread is already running a
+  /// chunk of this pool (nested launch).
   void run_chunks(int64_t total,
                   const std::function<void(int64_t, int64_t)>& fn);
 
@@ -100,6 +110,7 @@ class ThreadPool {
   std::atomic<int64_t> busy_ns_{0};
   std::atomic<int64_t> idle_ns_{0};
   std::vector<std::thread> workers_;
+  std::mutex submit_mu_;  // held for a whole launch: one launch at a time
   std::mutex mu_;
   std::condition_variable cv_work_;
   std::condition_variable cv_done_;

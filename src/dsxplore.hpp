@@ -64,7 +64,6 @@
 
 // Concurrent inference serving: compiled plans, dynamic micro-batching,
 // multi-model routing.
-#include "serve/batcher.hpp"
 #include "serve/compiled_model.hpp"
 #include "serve/request.hpp"
 #include "serve/server.hpp"

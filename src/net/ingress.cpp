@@ -1,6 +1,8 @@
 #include "net/ingress.hpp"
 
 #include <fcntl.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -256,6 +258,11 @@ void IngressServer::accept_ready() {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) return;  // EAGAIN or transient
     sockio::set_nonblocking(fd);
+    // Replies are small frames written as soon as they are ready; with
+    // Nagle on, a second reply on a connection waits for the client's
+    // delayed ACK (~40 ms on Linux).
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     if (opts_.so_sndbuf > 0) {
       ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &opts_.so_sndbuf,
                    sizeof(opts_.so_sndbuf));

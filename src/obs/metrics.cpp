@@ -423,22 +423,12 @@ device::LogHistogram::BucketSnapshot Registry::merged_histogram(
     const std::string& name, const Labels& match) const {
   std::lock_guard<std::mutex> lock(mu_);
   device::LogHistogram::BucketSnapshot merged;
-  merged.min = INT64_MAX;
   for (auto it = cells_.lower_bound(name); it != cells_.end(); ++it) {
     const detail::MetricCell* cell = it->second.get();
     if (cell->name != name) break;
     if (cell->type != MetricType::kHistogram) break;
     if (!labels_contain(cell->labels, match)) continue;
-    const device::LogHistogram::BucketSnapshot s =
-        cell->hist.bucket_snapshot();
-    merged.count += s.count;
-    merged.sum += s.sum;
-    merged.min = std::min(merged.min, s.min);
-    merged.max = std::max(merged.max, s.max);
-    for (int b = 0; b < device::LogHistogram::kBuckets; ++b) {
-      merged.buckets[static_cast<size_t>(b)] +=
-          s.buckets[static_cast<size_t>(b)];
-    }
+    merged.merge(cell->hist.bucket_snapshot());
   }
   return merged;
 }

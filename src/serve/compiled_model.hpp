@@ -12,9 +12,10 @@
 //   * sizes a Workspace arena with one dry run at max batch, so steady-state
 //     run() calls perform no heap allocation in conv/im2col/SCC hot paths.
 //
-// run() is intentionally NOT thread-safe (it reuses the arena and the global
-// ThreadPool, whose run_chunks is non-reentrant); DynamicBatcher serializes
-// callers, standing in for a GPU's single command queue.
+// run() is intentionally NOT thread-safe: it reuses the plan's arena, so one
+// plan has one caller at a time (each served replica has one batcher). Its
+// kernels may share a ThreadPool with other plans and compiles; the pool
+// serializes launches itself, like a GPU's single command queue.
 #pragma once
 
 #include <cstdint>

@@ -133,20 +133,12 @@ void validate_batching_limits(const char* what, int64_t max_batch,
   }
 }
 
-std::mutex& execution_mutex() {
-  static std::mutex mu;
-  return mu;
-}
-
-BatchCore::BatchCore(CompiledModel& model, device::LatencyStats* extra_latency,
-                     BatcherMetricSet metrics)
+BatchCore::BatchCore(CompiledModel& model, BatcherMetricSet metrics)
     : model_(model),
-      extra_latency_(extra_latency),
       metrics_(std::move(metrics)),
       start_(std::chrono::steady_clock::now()) {}
 
-void BatchCore::execute(std::deque<Request>& batch,
-                        const std::function<Tensor(const Tensor&)>& run) {
+void BatchCore::execute(std::deque<Request>& batch) {
   const int64_t n = static_cast<int64_t>(batch.size());
   if (n == 0) return;
   // Tracing off = one relaxed load; only then is the batch scanned for a
@@ -191,10 +183,10 @@ void BatchCore::execute(std::deque<Request>& batch,
     if (traced || flight_on) {
       const obs::ScopedLayerSink sink(&layer_scratch);
       run_start_ns = obs::now_ns();
-      out = run(images);
+      out = model_.run(images);
       run_end_ns = obs::now_ns();
     } else {
-      out = run(images);
+      out = model_.run(images);
     }
     const std::vector<obs::LayerRecord>& layers = layer_scratch;
 
@@ -214,7 +206,6 @@ void BatchCore::execute(std::deque<Request>& batch,
                              now - req.enqueued)
                              .count();
       latency_.record_ns(ns);
-      if (extra_latency_ != nullptr) extra_latency_->record_ns(ns);
       metrics_.latency.record(ns / 1000);
       metrics_.queue_wait.record(
           std::chrono::duration_cast<std::chrono::microseconds>(exec_start -

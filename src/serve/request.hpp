@@ -1,22 +1,19 @@
 // Shared request/stats machinery of the serving tier.
 //
-// Both micro-batchers - the FIFO serve::DynamicBatcher and the
-// priority/deadline-aware shard::DeadlineBatcher - speak the same contract:
-// clients enqueue normalized single-image Requests, a worker coalesces them
-// into micro-batches, and BatchCore turns one batch into per-request answers
-// (assembly, one CompiledModel::run, split, promise fulfillment, stats).
-// Keeping that machinery here means the two batchers differ only in queue
-// discipline and execution-lane policy, and their stats snapshots stay
-// directly comparable.
+// Every served model is a shard::ReplicaSet of R >= 1 replicas, each with
+// one shard::DeadlineBatcher: clients enqueue normalized single-image
+// Requests, the batcher's worker coalesces them into micro-batches, and
+// BatchCore turns one batch into per-request answers (assembly, one
+// CompiledModel::run, split, promise fulfillment, stats). BatcherOptions is
+// the one options struct of that path.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <future>
-#include <mutex>
+#include <string>
 #include <vector>
 
 #include "common/check.hpp"
@@ -24,6 +21,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/compiled_model.hpp"
+#include "shard/router.hpp"
 
 namespace dsx::obs::flight {
 class ModelState;
@@ -31,8 +29,8 @@ class ModelState;
 
 namespace dsx::serve {
 
-/// Request priority classes (dsx::shard). Lower value = more urgent; the
-/// plain DynamicBatcher treats every request as kNormal.
+/// Request priority classes (dsx::shard). Lower value = more urgent; a plain
+/// submit() is kNormal.
 enum class Priority : int {
   kInteractive = 0,
   kNormal = 1,
@@ -100,19 +98,43 @@ inline bool edf_before(const Request& a, const Request& b) {
 /// engine).
 Request make_request(const CompiledModel& model, const Tensor& image);
 
-/// Shared range validation for micro-batcher options: serve's
-/// BatcherOptions and shard's DeadlineBatcherOptions carry the same limit
-/// fields, and both constructors funnel through this single set of checks.
-/// Throws std::invalid_argument; `what` names the offending struct.
+/// How one model is served (InferenceServer::register_model/swap_model,
+/// shard::ReplicaSet). The batching limits apply to every replica's batcher.
+struct BatcherOptions {
+  /// Largest micro-batch; 0 means the model's compiled max_batch. Clamped to
+  /// the model's max_batch either way.
+  int64_t max_batch = 0;
+  /// How long the worker may hold the oldest queued request while waiting
+  /// for the batch to fill.
+  std::chrono::microseconds max_delay{2000};
+  /// Bounded-queue admission control: submit() throws QueueFull once this
+  /// many requests are waiting (per replica). 0 = unbounded.
+  int64_t queue_capacity = 0;
+  /// Model replica count. 1 serves through one batcher on the registering
+  /// thread's current pool (normally the global pool); > 1 compiles that
+  /// many independent replicas, each with its own batcher and private
+  /// execution lane.
+  int replicas = 1;
+  /// How submissions spread across replicas (replicas > 1).
+  shard::RoutingPolicy policy = shard::RoutingPolicy::kLeastOutstanding;
+  /// Threads per execution lane (replicas > 1); 0 = an even partition of
+  /// the current pool's thread budget (max(1, threads / replicas)). On small
+  /// hosts this degenerates to single-thread lanes, which also skip all
+  /// intra-op hand-off overhead - more inter-request parallelism instead.
+  unsigned lane_threads = 0;
+  /// Observability scope: non-empty registers dsx_serve_* series labeled
+  /// {model=metric_model} (plus replica=R on fleets of R > 1, which also
+  /// export dsx_shard_routed_total) in obs::Registry. Empty = no export.
+  /// InferenceServer overwrites this with the registered model name.
+  std::string metric_model;
+};
+
+/// Range validation shared by BatcherOptions and shard's
+/// DeadlineBatcherOptions, which carry the same limit fields. Throws
+/// std::invalid_argument; `what` names the offending struct.
 void validate_batching_limits(const char* what, int64_t max_batch,
                               std::chrono::microseconds max_delay,
                               int64_t queue_capacity);
-
-/// Process-wide lock serializing CompiledModel::run for batchers that
-/// execute on the shared global ThreadPool (its run_chunks is non-reentrant;
-/// one "device", one command queue). Batchers bound to a private lane pool
-/// (dsx::shard) do not take it - each lane is its own device.
-std::mutex& execution_mutex();
 
 /// Registry handles for one batcher instance. Detached (all-no-op) when the
 /// batcher has no metric scope; attached handles all carry the same
@@ -146,7 +168,7 @@ struct BatcherMetricSet {
 BatcherMetricSet make_batcher_metrics(const std::string& model,
                                       int replica = -1);
 
-/// Answered-request statistics shared by every batcher flavour.
+/// Answered-request statistics of one batcher, or summed over a fleet.
 struct BatcherStats {
   int64_t requests = 0;  // answered requests
   int64_t batches = 0;   // executed micro-batches
@@ -160,27 +182,24 @@ struct BatcherStats {
   device::LogHistogram::BucketSnapshot latency_buckets;
 };
 
-/// Batch execution + stats accounting shared by the batcher implementations.
-/// Not thread-safe for concurrent execute() calls on the same instance (each
-/// batcher has one worker); stats() is safe from any thread.
+/// Batch execution + stats accounting of one batcher. Not thread-safe for
+/// concurrent execute() calls on the same instance (each batcher has one
+/// executor); stats() is safe from any thread.
 class BatchCore {
  public:
-  /// `model` must outlive the core. `extra_latency`, when given, receives a
-  /// copy of every per-request latency sample (dsx::shard aggregates across
-  /// replicas through it). `metrics` (detached by default) additionally
-  /// receives every request/batch/latency observation into the obs registry.
-  explicit BatchCore(CompiledModel& model,
-                     device::LatencyStats* extra_latency = nullptr,
-                     BatcherMetricSet metrics = {});
+  /// `model` must outlive the core. `metrics` (detached by default)
+  /// additionally receives every request/batch/latency observation into
+  /// the obs registry.
+  explicit BatchCore(CompiledModel& model, BatcherMetricSet metrics = {});
 
   CompiledModel& model() { return model_; }
 
-  /// Assembles `batch` into one [n,...] tensor, runs it through `run`,
-  /// splits the output into per-request [1,...] answers and fulfills every
-  /// promise. A throwing `run` delivers the exception to every request in
-  /// the batch. Stats are published before any promise is fulfilled.
-  void execute(std::deque<Request>& batch,
-               const std::function<Tensor(const Tensor&)>& run);
+  /// Assembles `batch` into one [n,...] tensor, runs it through the model
+  /// on the calling thread's current pool, splits the output into
+  /// per-request [1,...] answers and fulfills every promise. A throwing run
+  /// delivers the exception to every request in the batch. Stats are
+  /// published before any promise is fulfilled.
+  void execute(std::deque<Request>& batch);
 
   BatcherStats stats() const;
 
@@ -197,7 +216,6 @@ class BatchCore {
   std::atomic<int64_t> answered_{0};
   std::atomic<int64_t> batches_{0};
   device::LatencyStats latency_;
-  device::LatencyStats* extra_latency_;
   BatcherMetricSet metrics_;
   std::chrono::steady_clock::time_point start_;
 };

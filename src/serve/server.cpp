@@ -12,16 +12,31 @@ namespace dsx::serve {
 
 namespace {
 
-/// The one-field sharding bridge (BatcherOptions::replicas > 1), shared by
-/// register_model and swap_model so the two paths can never drift.
-shard::ShardOptions to_shard_options(const BatcherOptions& opts) {
-  shard::ShardOptions sopts;
-  sopts.replicas = opts.replicas;
-  sopts.max_batch = opts.max_batch;
-  sopts.max_delay = opts.max_delay;
-  sopts.queue_capacity = opts.queue_capacity;
-  sopts.metric_model = opts.metric_model;
-  return sopts;
+/// Builds the fleet serving `model` under `name`. The registered name is the
+/// observability scope: every fleet serving this name feeds the same
+/// dsx_serve_*{model=name} series. The fleet compiles its replicas here,
+/// outside the registry lock: cloning and recompiling R replicas is the
+/// slowest operation in the serving tier and must not block serving of
+/// other models.
+std::shared_ptr<shard::ReplicaSet> make_fleet(
+    const std::string& name, std::unique_ptr<CompiledModel> model,
+    BatcherOptions opts) {
+  opts.metric_model = name;
+  return std::make_shared<shard::ReplicaSet>(std::move(model),
+                                             std::move(opts));
+}
+
+/// Stops `fleet` and reports what its drain answered.
+SwapReport drain(shard::ReplicaSet& fleet) {
+  SwapReport report;
+  const int64_t before = fleet.stats().requests;
+  const auto t0 = std::chrono::steady_clock::now();
+  fleet.stop();  // answers every queued request before joining the workers
+  report.drain_ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+  report.drained = fleet.stats().requests - before;
+  return report;
 }
 
 }  // namespace
@@ -88,101 +103,36 @@ bool InferenceServer::start_profile(int hz) { return obs::prof::start(hz); }
 
 void InferenceServer::stop_profile() { obs::prof::stop(); }
 
-std::future<Tensor> InferenceServer::Entry::submit(const Tensor& image) {
-  if (replicas != nullptr) return replicas->submit(image);
-  return batcher->submit(image);
-}
-
-std::future<Tensor> InferenceServer::Entry::submit(const Tensor& image,
-                                                   shard::SubmitOptions sopts) {
-  if (replicas != nullptr) return replicas->submit(image, sopts);
-  // Single-replica models speak the same scheduling contract: the batcher
-  // engine handles EDF ordering, deadline shedding and shed accounting.
-  return batcher->submit(image, sopts);
-}
-
-int64_t InferenceServer::Entry::answered() const {
-  if (replicas != nullptr) return replicas->stats().requests;
-  return batcher->stats().requests;
-}
-
-void InferenceServer::Entry::stop() {
-  if (batcher != nullptr) batcher->stop();
-  if (replicas != nullptr) replicas->stop();
-}
-
-SwapReport InferenceServer::Entry::drain() {
-  SwapReport report;
-  const int64_t before = answered();
-  const auto t0 = std::chrono::steady_clock::now();
-  stop();  // answers every queued request before joining the worker(s)
-  report.drain_ms = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-  report.drained = answered() - before;
-  return report;
-}
-
 void InferenceServer::register_model(const std::string& name,
                                      std::unique_ptr<CompiledModel> model,
                                      BatcherOptions opts) {
-  validate_batcher_options(opts);
-  // The registered name is the observability scope: every fleet serving
-  // this name feeds the same dsx_serve_*{model=name} series.
-  opts.metric_model = name;
-  if (opts.replicas > 1) {
-    register_model_sharded(name, std::move(model), to_shard_options(opts));
-    return;
-  }
   DSX_REQUIRE(model != nullptr, "register_model: null model");
-  auto entry = std::make_shared<Entry>();
-  entry->model = std::move(model);
-  entry->model->set_metric_scope(name);  // arena occupancy gauges
-  entry->batcher = std::make_unique<DynamicBatcher>(*entry->model, opts);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    DSX_REQUIRE(!stopped_, "register_model: server is stopped");
-    DSX_REQUIRE(models_.find(name) == models_.end(),
-                "register_model: '" << name << "' already registered");
-    models_.emplace(name, std::move(entry));
-  }
-  obs::Journal::global().record(obs::EventKind::kRegister, name,
-                                "single batcher");
-}
-
-void InferenceServer::register_model_sharded(const std::string& name,
-                                             std::unique_ptr<CompiledModel> model,
-                                             shard::ShardOptions opts) {
-  DSX_REQUIRE(model != nullptr, "register_model: null model");
-  // Cheap duplicate-name check BEFORE compiling the fleet - cloning and
-  // recompiling R replicas is the most expensive operation in the serving
-  // tier and must not be wasted on a doomed call. The authoritative check
-  // below still guards the race window between the two.
+  // Cheap duplicate-name check BEFORE compiling the fleet, so the compile is
+  // not wasted on a doomed call. The authoritative check below still guards
+  // the race window between the two.
   {
     std::lock_guard<std::mutex> lock(mu_);
     DSX_REQUIRE(!stopped_, "register_model: server is stopped");
     DSX_REQUIRE(models_.find(name) == models_.end(),
                 "register_model: '" << name << "' already registered");
   }
-  // Compile the replica fleet WITHOUT the registry lock: clone compilation
-  // is slow and must not block serving of other models.
-  opts.metric_model = name;
-  auto entry = std::make_shared<Entry>();
-  entry->replicas = std::make_unique<shard::ReplicaSet>(std::move(model), opts);
+  const int replicas = opts.replicas;
+  FleetPtr fresh = make_fleet(name, std::move(model), std::move(opts));
   {
     std::lock_guard<std::mutex> lock(mu_);
     DSX_REQUIRE(!stopped_, "register_model: server is stopped");
     DSX_REQUIRE(models_.find(name) == models_.end(),
                 "register_model: '" << name << "' already registered");
-    models_.emplace(name, std::move(entry));
+    models_.emplace(name, std::move(fresh));
   }
   obs::Journal::global().record(
       obs::EventKind::kRegister, name,
-      "sharded, replicas=" + std::to_string(opts.replicas));
+      replicas > 1 ? "sharded, replicas=" + std::to_string(replicas)
+                   : std::string("single batcher"));
 }
 
 void InferenceServer::unregister_model(const std::string& name) {
-  EntryPtr removed;
+  FleetPtr removed;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = models_.find(name);
@@ -193,14 +143,14 @@ void InferenceServer::unregister_model(const std::string& name) {
   }
   // Drain outside the lock: queued requests execute here, and blocking the
   // registry for the duration would stall serving of every other model. The
-  // Entry itself dies when the last concurrent submit releases its ref.
+  // fleet itself dies when the last concurrent submit releases its ref.
   removed->stop();
   obs::Journal::global().record(obs::EventKind::kUnregister, name);
 }
 
 SwapReport InferenceServer::install_and_drain(const std::string& name,
-                                              EntryPtr fresh) {
-  EntryPtr displaced;
+                                              FleetPtr fresh) {
+  FleetPtr displaced;
   {
     std::lock_guard<std::mutex> lock(mu_);
     DSX_REQUIRE(!stopped_, "swap_model: server is stopped");
@@ -213,7 +163,7 @@ SwapReport InferenceServer::install_and_drain(const std::string& name,
   // From here every new submit resolves the fresh fleet. The displaced
   // fleet's drain answers its whole queue with the OLD model - the version
   // that accepted those requests - so the swap drops nothing.
-  const SwapReport report = displaced->drain();
+  const SwapReport report = drain(*displaced);
   {
     char detail[96];
     std::snprintf(detail, sizeof(detail), "drained %lld in %.2f ms",
@@ -226,36 +176,18 @@ SwapReport InferenceServer::install_and_drain(const std::string& name,
 SwapReport InferenceServer::swap_model(const std::string& name,
                                        std::unique_ptr<CompiledModel> model,
                                        BatcherOptions opts) {
-  validate_batcher_options(opts);
-  opts.metric_model = name;  // swapped fleets keep feeding the name's series
   DSX_REQUIRE(model != nullptr, "swap_model: null model");
-  if (opts.replicas > 1) {
-    return swap_model_sharded(name, std::move(model), to_shard_options(opts));
-  }
-  auto fresh = std::make_shared<Entry>();
-  fresh->model = std::move(model);
-  fresh->model->set_metric_scope(name);  // fresh plan keeps the name's gauges
-  fresh->batcher = std::make_unique<DynamicBatcher>(*fresh->model, opts);
-  return install_and_drain(name, std::move(fresh));
-}
-
-SwapReport InferenceServer::swap_model_sharded(const std::string& name,
-                                               std::unique_ptr<CompiledModel> model,
-                                               shard::ShardOptions opts) {
-  DSX_REQUIRE(model != nullptr, "swap_model: null model");
-  opts.metric_model = name;
   // Compile the replacement fleet before touching the registry: the old
   // fleet keeps serving until the new one is ready to take every request.
-  auto fresh = std::make_shared<Entry>();
-  fresh->replicas = std::make_unique<shard::ReplicaSet>(std::move(model), opts);
-  return install_and_drain(name, std::move(fresh));
+  return install_and_drain(name,
+                           make_fleet(name, std::move(model), std::move(opts)));
 }
 
 SwapReport InferenceServer::swap_model_with(const std::string& name,
                                             const std::string& donor) {
   DSX_REQUIRE(name != donor, "swap_model_with: '" << name
                                                   << "' cannot donate itself");
-  EntryPtr displaced;
+  FleetPtr displaced;
   {
     // One critical section for the whole exchange: erasing the donor and
     // installing it under `name` must not be separable, or a throw in the
@@ -276,7 +208,7 @@ SwapReport InferenceServer::swap_model_with(const std::string& name,
     name_it->second = std::move(donor_it->second);
     models_.erase(donor_it);
   }
-  const SwapReport report = displaced->drain();
+  const SwapReport report = drain(*displaced);
   obs::Journal::global().record(obs::EventKind::kSwap, name,
                                 "donor '" + donor + "' installed");
   return report;
@@ -295,7 +227,7 @@ std::vector<std::string> InferenceServer::model_names() const {
   return names;
 }
 
-InferenceServer::EntryPtr InferenceServer::entry(
+InferenceServer::FleetPtr InferenceServer::fleet(
     const std::string& name) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = models_.find(name);
@@ -303,9 +235,9 @@ InferenceServer::EntryPtr InferenceServer::entry(
   return it->second;
 }
 
-template <typename Submit>
-std::future<Tensor> InferenceServer::submit_with_retry(
-    const std::string& name, const Submit& submit_fn) {
+std::future<Tensor> InferenceServer::submit(const std::string& name,
+                                            const Tensor& image,
+                                            shard::SubmitOptions sopts) {
   // Hot-swap retry loop: the shared_ptr keeps the resolved fleet alive for
   // the duration of the call, and a fleet displaced between resolution and
   // enqueue throws Stopped - re-resolve and land on its replacement. The
@@ -313,9 +245,9 @@ std::future<Tensor> InferenceServer::submit_with_retry(
   // after an unregister the lookup itself throws. The bound exists only to
   // turn a pathological swap storm into a clean error instead of livelock.
   for (int attempt = 0; attempt < 64; ++attempt) {
-    EntryPtr e = entry(name);
+    FleetPtr f = fleet(name);
     try {
-      return submit_fn(*e);
+      return f->submit(image, sopts);
     } catch (const Stopped&) {
       std::lock_guard<std::mutex> lock(mu_);
       if (stopped_) throw;  // server shutdown, not a swap: propagate
@@ -324,50 +256,33 @@ std::future<Tensor> InferenceServer::submit_with_retry(
   throw Error("submit: model '" + name + "' kept swapping; giving up");
 }
 
-std::future<Tensor> InferenceServer::submit(const std::string& name,
-                                            const Tensor& image) {
-  return submit_with_retry(
-      name, [&](Entry& e) { return e.submit(image); });
-}
-
-std::future<Tensor> InferenceServer::submit(const std::string& name,
-                                            const Tensor& image,
-                                            shard::SubmitOptions sopts) {
-  return submit_with_retry(
-      name, [&](Entry& e) { return e.submit(image, sopts); });
-}
-
 Tensor InferenceServer::infer(const std::string& name, const Tensor& image) {
   return submit(name, image).get();
 }
 
 ModelStats InferenceServer::stats(const std::string& name) const {
-  const EntryPtr e = entry(name);
+  const FleetPtr f = fleet(name);
   ModelStats s;
   s.name = name;
-  if (e->replicas != nullptr) {
-    s.compile = e->replicas->prototype_report();
-    s.shard = e->replicas->stats();
-    // Aggregate the fleet into the legacy BatcherStats view so one-field
-    // migrations (replicas = R) keep existing stats consumers honest:
-    // requests/batches sum across replicas, latency/qps come from the
-    // shard-wide aggregates.
-    for (const shard::ReplicaStats& rs : s.shard->per_replica) {
-      s.batcher.requests += rs.batcher.batcher.requests;
-      s.batcher.batches += rs.batcher.batcher.batches;
-    }
-    s.batcher.avg_batch =
-        s.batcher.batches > 0
-            ? static_cast<double>(s.batcher.requests) /
-                  static_cast<double>(s.batcher.batches)
-            : 0.0;
-    s.batcher.qps = s.shard->qps;
-    s.batcher.latency = s.shard->latency;
-    s.batcher.latency_buckets = s.shard->latency_buckets;
-  } else {
-    s.compile = e->model->report();
-    s.batcher = e->batcher->stats();
+  s.compile = f->prototype_report();
+  // Fold the fleet into the BatcherStats view, so one-field migrations
+  // (replicas = R) keep existing stats consumers honest: requests/batches
+  // sum across replicas, latency/qps come from the fleet-wide view. For a
+  // single replica these are its batcher's own numbers.
+  const shard::ShardStats fleet_stats = f->stats();
+  for (const shard::ReplicaStats& rs : fleet_stats.per_replica) {
+    s.batcher.requests += rs.batcher.batcher.requests;
+    s.batcher.batches += rs.batcher.batcher.batches;
   }
+  s.batcher.avg_batch =
+      s.batcher.batches > 0
+          ? static_cast<double>(s.batcher.requests) /
+                static_cast<double>(s.batcher.batches)
+          : 0.0;
+  s.batcher.qps = fleet_stats.qps;
+  s.batcher.latency = fleet_stats.latency;
+  s.batcher.latency_buckets = fleet_stats.latency_buckets;
+  if (fleet_stats.replicas > 1) s.shard = fleet_stats;
   return s;
 }
 
@@ -452,16 +367,16 @@ void InferenceServer::remove_exporter_endpoint(const std::string& path) {
 }
 
 void InferenceServer::stop() {
-  std::vector<EntryPtr> entries;
+  std::vector<FleetPtr> fleets;
   {
     std::lock_guard<std::mutex> lock(mu_);
     stopped_ = true;
-    entries.reserve(models_.size());
-    for (auto& [name, entry] : models_) entries.push_back(entry);
+    fleets.reserve(models_.size());
+    for (auto& [name, f] : models_) fleets.push_back(f);
   }
   // Drain outside the lock (queued requests execute during stop), holding
   // refs so a concurrent unregister cannot free a fleet mid-drain.
-  for (const EntryPtr& e : entries) e->stop();
+  for (const FleetPtr& f : fleets) f->stop();
   stop_exporter();
 }
 

@@ -1,18 +1,18 @@
 // Multi-model inference front-end.
 //
 // An InferenceServer owns a registry of named models and routes requests by
-// name. Each model serves either through a single DynamicBatcher (the
-// default) or, when registered with BatcherOptions::replicas > 1, through a
-// dsx::shard::ReplicaSet - R independently compiled replicas with private
-// execution lanes and priority/deadline-aware batchers. This is the
-// process-local shape of the roadmap's serving tier: N models x M client
-// threads, with per-model throughput/latency stats exported from the
-// lock-free device::LatencyStats counters.
+// name. Every model serves through a dsx::shard::ReplicaSet: with the default
+// BatcherOptions::replicas = 1 that is one priority/deadline-aware batcher
+// on the registering thread's current pool (normally the global pool); with
+// replicas > 1 it is R independently compiled replicas on private execution
+// lanes. This is the process-local shape of the roadmap's serving tier: N
+// models x M client threads, with per-model throughput/latency stats
+// exported from the lock-free device::LatencyStats counters.
 //
 // Registry entries are replaceable at runtime (dsx::deploy's hot-swap):
-// swap_model* installs a freshly compiled fleet under a live name and drains
+// swap_model installs a freshly compiled fleet under a live name and drains
 // the displaced one, unregister_model removes a name entirely. submit()
-// holds a shared_ptr to the entry it resolved, so a concurrent swap can
+// holds a shared_ptr to the fleet it resolved, so a concurrent swap can
 // never free a fleet out from under an in-flight submission; a submission
 // that loses the race (the displaced fleet throws Stopped) transparently
 // re-resolves the live entry. Every accepted request - one whose submit()
@@ -29,15 +29,16 @@
 #include <vector>
 
 #include "obs/obs.hpp"
-#include "serve/batcher.hpp"
 #include "serve/compiled_model.hpp"
+#include "serve/request.hpp"
 #include "shard/replica_set.hpp"
 
 namespace dsx::serve {
 
-/// Per-model observability snapshot. For sharded models `batcher` is the
-/// fleet-wide aggregate (requests/batches summed, shard-wide latency/qps)
-/// and `shard` carries the full per-replica breakdown.
+/// Per-model observability snapshot. `batcher` is the fleet-wide view
+/// (requests/batches summed, merged latency, fleet qps; for a single replica
+/// exactly its batcher's stats) and, for sharded models (replicas > 1),
+/// `shard` carries the full per-replica breakdown.
 struct ModelStats {
   std::string name;
   CompileReport compile;
@@ -74,14 +75,6 @@ class InferenceServer {
                       std::unique_ptr<CompiledModel> model,
                       BatcherOptions opts = {});
 
-  /// Sharding with full control (routing policy, lane sizing) instead of
-  /// the BatcherOptions defaults. (Distinct name: both option structs are
-  /// designated-initializer friendly, and overloading on them would make
-  /// brace-initialized calls ambiguous.)
-  void register_model_sharded(const std::string& name,
-                              std::unique_ptr<CompiledModel> model,
-                              shard::ShardOptions opts);
-
   /// Removes `name` from the registry, stops its batcher(s) and drains the
   /// queue - every already-accepted request is still answered. Safe against
   /// concurrent submit(): a submission that raced the removal either landed
@@ -90,19 +83,15 @@ class InferenceServer {
   void unregister_model(const std::string& name);
 
   /// Zero-downtime hot-swap: atomically replaces `name`'s serving fleet
-  /// with a fresh single-batcher fleet for `model`, then drains the
-  /// displaced fleet (its queued requests are answered by the OLD model -
-  /// the version that accepted them). Concurrent submits never fail from
-  /// the swap: they re-resolve onto the new fleet. Stats counters restart
-  /// with the new fleet. Throws if `name` is unknown.
+  /// with a fresh fleet for `model` (built from `opts` like
+  /// register_model), then drains the displaced fleet (its queued requests
+  /// are answered by the OLD model - the version that accepted them).
+  /// Concurrent submits never fail from the swap: they re-resolve onto the
+  /// new fleet. Stats counters restart with the new fleet. Throws if `name`
+  /// is unknown.
   SwapReport swap_model(const std::string& name,
                         std::unique_ptr<CompiledModel> model,
                         BatcherOptions opts = {});
-
-  /// Hot-swap onto a sharded fleet (full shard::ShardOptions control).
-  SwapReport swap_model_sharded(const std::string& name,
-                                std::unique_ptr<CompiledModel> model,
-                                shard::ShardOptions opts);
 
   /// Hot-swap from within the registry (dsx::deploy's promote): `donor`'s
   /// already-serving fleet is removed from the registry and installed under
@@ -115,13 +104,11 @@ class InferenceServer {
   bool has_model(const std::string& name) const;
   std::vector<std::string> model_names() const;
 
-  /// Async single-image inference on the named model. Thread-safe.
-  std::future<Tensor> submit(const std::string& name, const Tensor& image);
-  /// Priority/deadline-aware submission. Works on every model: sharded
-  /// models route through their ReplicaSet, single-replica models get the
-  /// same EDF ordering and deadline shedding from their batcher's engine.
+  /// Async single-image inference on the named model. Thread-safe. `sopts`
+  /// adds priority/deadline-aware scheduling (EDF ordering, deadline
+  /// shedding) on every model.
   std::future<Tensor> submit(const std::string& name, const Tensor& image,
-                             shard::SubmitOptions sopts);
+                             shard::SubmitOptions sopts = {});
   /// Blocking convenience wrapper.
   Tensor infer(const std::string& name, const Tensor& image);
 
@@ -194,32 +181,16 @@ class InferenceServer {
   void stop();
 
  private:
-  struct Entry {
-    std::unique_ptr<CompiledModel> model;        // null when sharded
-    std::unique_ptr<DynamicBatcher> batcher;     // single-replica path
-    std::unique_ptr<shard::ReplicaSet> replicas;  // sharded path
+  using FleetPtr = std::shared_ptr<shard::ReplicaSet>;
 
-    std::future<Tensor> submit(const Tensor& image);
-    std::future<Tensor> submit(const Tensor& image,
-                               shard::SubmitOptions sopts);
-    /// Stops the fleet and returns what the drain answered.
-    SwapReport drain();
-    int64_t answered() const;
-    void stop();
-  };
-  using EntryPtr = std::shared_ptr<Entry>;
-
-  EntryPtr entry(const std::string& name) const;
+  FleetPtr fleet(const std::string& name) const;
   /// Exchanges `name`'s entry for `fresh` under the lock, then drains the
   /// displaced fleet outside it.
-  SwapReport install_and_drain(const std::string& name, EntryPtr fresh);
-  template <typename Submit>
-  std::future<Tensor> submit_with_retry(const std::string& name,
-                                        const Submit& submit_fn);
+  SwapReport install_and_drain(const std::string& name, FleetPtr fresh);
 
   mutable std::mutex mu_;
   bool stopped_ = false;
-  std::map<std::string, EntryPtr> models_;
+  std::map<std::string, FleetPtr> models_;
 
   /// SLO engine + exporter. Own mutex: exporter start/stop never contends
   /// with the registry lock (mu_), and the engine serializes itself.

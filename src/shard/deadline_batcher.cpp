@@ -22,15 +22,15 @@ std::exception_ptr deadline_error() {
 }  // namespace
 
 DeadlineBatcher::DeadlineBatcher(serve::CompiledModel& model,
-                                 DeadlineBatcherOptions opts,
-                                 device::LatencyStats* extra_latency)
+                                 DeadlineBatcherOptions opts)
     : metrics_(serve::make_batcher_metrics(opts.metric_model,
                                            opts.metric_replica)),
-      core_(model, extra_latency, metrics_),
+      core_(model, metrics_),
       max_batch_(0),
       max_delay_(opts.max_delay),
       queue_capacity_(opts.queue_capacity),
-      lane_(opts.lane),
+      pool_(opts.lane != nullptr ? *opts.lane
+                                 : device::ThreadPool::current()),
       manual_drain_(opts.manual_drain) {
   serve::validate_batching_limits("DeadlineBatcherOptions", opts.max_batch,
                                   opts.max_delay, opts.queue_capacity);
@@ -45,10 +45,10 @@ DeadlineBatcher::~DeadlineBatcher() { stop(); }
 
 std::future<Tensor> DeadlineBatcher::submit(const Tensor& image,
                                             SubmitOptions sopts) {
-  // Lock-scope invariant (this is the engine behind serve::DynamicBatcher
-  // too): all tensor validation/normalization happens on the caller's
-  // thread before mu_ is taken; the lock covers only the queue insert and
-  // flags, so N submitting clients never serialize on tensor work.
+  // Lock-scope invariant: all tensor validation/normalization happens on the
+  // caller's thread before mu_ is taken; the lock covers only the queue
+  // insert and flags, so N submitting clients never serialize on tensor
+  // work.
   serve::Request req = serve::make_request(core_.model(), image);
   req.priority = sopts.priority;
   req.deadline = sopts.deadline;
@@ -156,9 +156,8 @@ void DeadlineBatcher::form_batch_locked(
     }
   }
   metrics_.queue_depth.set(static_cast<int64_t>(queue_.size()));
-  // Saturation distributions, once per formed batch (both batcher surfaces
-  // funnel through here): the backlog this formation left behind, and how
-  // full the batch ran. Detached handles make these null-check no-ops for
+  // Saturation distributions, once per formed batch: the backlog this
+  // formation left behind, and how full the batch ran. Detached handles make these null-check no-ops for
   // unscoped batchers; attached writes are the usual relaxed atomics.
   if (!batch.empty()) {
     metrics_.queue_depth_at_batch.record(static_cast<int64_t>(queue_.size()));
@@ -206,19 +205,11 @@ void DeadlineBatcher::answer(std::deque<serve::Request>& batch,
     shed.clear();
   }
   if (batch.empty()) return;
-  if (lane_ != nullptr) {
-    // Private lane: bind it so every kernel the plan launches lands on this
-    // replica's threads. No process-wide execution lock - lanes are
-    // independent devices.
-    device::PoolScope scope(*lane_);
-    core_.execute(batch, [this](const Tensor& images) {
-      return core_.model().run(images);
-    });
-  } else {
-    core_.execute(batch, [this](const Tensor& images) {
-      std::lock_guard<std::mutex> lock(serve::execution_mutex());
-      return core_.model().run(images);
-    });
+  {
+    // Every kernel the plan launches lands on this batcher's pool, which
+    // serializes launches itself - no lock to take here.
+    const device::PoolScope scope(pool_);
+    core_.execute(batch);
   }
   outstanding_.fetch_sub(static_cast<int64_t>(batch.size()),
                          std::memory_order_relaxed);

@@ -1,7 +1,11 @@
-// Priority/deadline-aware micro-batching on a private execution lane.
+// Priority/deadline-aware micro-batching: the batcher behind every replica
+// of every served model.
 //
-// DeadlineBatcher extends the serving tier's micro-batching contract
-// (serve/batcher.hpp) with three scheduling features the FIFO batcher lacks:
+// Clients submit single images; one worker thread coalesces them into
+// micro-batches (bounded by max_batch and by how long the front request has
+// waited) and executes them on the compiled plan. Batching amortizes
+// per-call costs (kernel launches, pool wake-ups, GEMM setup) across
+// requests. On top of that the queue has three scheduling features:
 //
 //   * priority classes + absolute deadlines per request, with
 //     earliest-deadline-first batch formation (the queue is kept sorted by
@@ -17,12 +21,15 @@
 //   * bounded-queue admission control: submit() throws serve::QueueFull at
 //     capacity, giving callers synchronous backpressure.
 //
-// Execution lane: when constructed with a lane ThreadPool the batcher binds
-// it (device::PoolScope) around every CompiledModel::run, so its kernels
-// execute on the lane's threads and DO NOT take the process-wide execution
-// lock - this is what lets shard::ReplicaSet run R replicas genuinely
-// concurrently. Without a lane it behaves like DynamicBatcher: global pool,
-// global execution lock.
+// Every successfully submitted request is answered exactly once: stop() (and
+// the destructor) drain the queue before joining the worker, and a request
+// whose batch throws receives the exception through its future.
+//
+// Execution pool: every batch runs under one device::PoolScope for the pool
+// the batcher was given (a replica's private lane, or by default the
+// constructing thread's current pool). The pool serializes its own launches,
+// so batchers sharing a pool need no further lock, and replicas on private
+// lanes run genuinely concurrently.
 #pragma once
 
 #include <chrono>
@@ -47,9 +54,9 @@ struct DeadlineBatcherOptions {
   /// Bounded queue: submit() throws serve::QueueFull once this many
   /// requests wait. 0 = unbounded.
   int64_t queue_capacity = 0;
-  /// Execution lane; kernels run on this pool under a device::PoolScope and
-  /// skip the process-wide execution lock. Must outlive the batcher.
-  /// nullptr = shared global pool + execution lock.
+  /// Pool every batch runs on, bound with a device::PoolScope around each
+  /// CompiledModel::run. Must outlive the batcher. nullptr = the
+  /// constructing thread's ThreadPool::current() (normally the global pool).
   device::ThreadPool* lane = nullptr;
   /// No worker thread; the owner forms/executes batches via drain_one()
   /// (deterministic tests, external event loops). stop() drains whatever is
@@ -90,12 +97,10 @@ struct DeadlineBatcherStats {
 
 class DeadlineBatcher {
  public:
-  /// `model` (and `opts.lane`, when set) must outlive the batcher.
-  /// `extra_latency`, when given, additionally receives every per-request
-  /// latency sample (ReplicaSet's shard-wide aggregate). Throws
+  /// `model` (and `opts.lane`, when set) must outlive the batcher. Throws
   /// std::invalid_argument on invalid `opts`.
-  DeadlineBatcher(serve::CompiledModel& model, DeadlineBatcherOptions opts = {},
-                  device::LatencyStats* extra_latency = nullptr);
+  DeadlineBatcher(serve::CompiledModel& model,
+                  DeadlineBatcherOptions opts = {});
   ~DeadlineBatcher();
 
   DeadlineBatcher(const DeadlineBatcher&) = delete;
@@ -139,8 +144,8 @@ class DeadlineBatcher {
   void form_batch_locked(std::chrono::steady_clock::time_point now,
                          std::deque<serve::Request>& batch,
                          std::deque<serve::Request>& shed);
-  /// Answers `shed` with DeadlineExceeded and `batch` via the lane (or the
-  /// locked global pool). Call WITHOUT mu_ held.
+  /// Answers `shed` with DeadlineExceeded and executes `batch` on pool_.
+  /// Call WITHOUT mu_ held.
   void answer(std::deque<serve::Request>& batch,
               std::deque<serve::Request>& shed);
   /// Inserts at the request's EDF position (the single definition of the
@@ -154,7 +159,7 @@ class DeadlineBatcher {
   int64_t max_batch_;
   std::chrono::microseconds max_delay_;
   int64_t queue_capacity_;
-  device::ThreadPool* lane_;
+  device::ThreadPool& pool_;
   bool manual_drain_;
 
   mutable std::mutex mu_;

@@ -1,18 +1,19 @@
 // Replicated serving of one logical model (the heart of dsx::shard).
 //
-// A ReplicaSet serves one compiled plan from R independent CompiledModel
-// replicas - the serving-side analogue of the paper's Fig. 14 data-parallel
-// scaling (each V100 holds a model replica and consumes a shard of the
-// batch). Each replica owns:
+// Every model the serving tier serves is a ReplicaSet: R >= 1 independent
+// CompiledModel replicas - the serving-side analogue of the paper's Fig. 14
+// data-parallel scaling (each V100 holds a model replica and consumes a
+// shard of the batch). Each replica owns:
 //
-//   * its own CompiledModel (deep-cloned from the prototype via
-//     CompiledModel::clone_replica; tuned kernel plans are shared through
-//     the dsx::tune cache, so only the prototype's compile ever measures);
+//   * its own CompiledModel (replica 0 is the prototype; the rest are
+//     deep-cloned via CompiledModel::clone_replica, sharing tuned kernel
+//     plans through the dsx::tune cache);
 //   * its own DeadlineBatcher (per-replica queue, priorities, deadlines);
-//   * its own execution lane - a private device::ThreadPool holding an even
-//     partition of the host's worker budget - so replicas genuinely run
-//     concurrently instead of serializing on the process-wide execution
-//     lock.
+//   * with R > 1, its own execution lane - a private device::ThreadPool
+//     holding an even partition of the host's worker budget - so replicas
+//     genuinely run concurrently. An R = 1 set has no lane: its batcher runs
+//     on the constructing thread's current pool (normally the global pool),
+//     which must outlive the set.
 //
 // A Router spreads submissions across replicas (round-robin /
 // least-outstanding / power-of-two-choices); outputs remain bit-identical
@@ -28,30 +29,11 @@
 #include "device/thread_pool.hpp"
 #include "obs/metrics.hpp"
 #include "serve/compiled_model.hpp"
+#include "serve/request.hpp"
 #include "shard/deadline_batcher.hpp"
 #include "shard/router.hpp"
 
 namespace dsx::shard {
-
-struct ShardOptions {
-  /// Number of model replicas (>= 1).
-  int replicas = 1;
-  RoutingPolicy policy = RoutingPolicy::kLeastOutstanding;
-  /// Per-replica batcher knobs (see DeadlineBatcherOptions).
-  int64_t max_batch = 0;
-  std::chrono::microseconds max_delay{2000};
-  int64_t queue_capacity = 0;
-  /// Threads per execution lane; 0 = an even partition of the current
-  /// pool's thread budget (max(1, threads / replicas)). On small hosts this
-  /// degenerates to single-thread lanes, which also skip all intra-op
-  /// hand-off overhead - more inter-request parallelism instead.
-  unsigned lane_threads = 0;
-  /// Observability scope: non-empty registers per-replica dsx_serve_*
-  /// series (labels {model,replica}) and dsx_shard_routed_total routing
-  /// counters in obs::Registry. Empty = no export. InferenceServer sets
-  /// this to the registered model name.
-  std::string metric_model;
-};
 
 /// One replica's observability snapshot.
 struct ReplicaStats {
@@ -68,11 +50,11 @@ struct ShardStats {
   double qps = 0.0;      // aggregate answered / seconds since construction
   int64_t shed = 0;
   int64_t rejected = 0;
-  /// Submit->answer latency aggregated across replicas (one shared
-  /// histogram, not a merge of per-replica snapshots).
+  /// Submit->answer latency across replicas: the bucket-wise merge of the
+  /// replicas' own histograms.
   device::LatencyStats::Snapshot latency;
-  /// The same shared histogram's raw cumulative buckets (nanosecond
-  /// samples) - the windowing primitive SLO/guardrail evaluation diffs.
+  /// The merged raw cumulative buckets (nanosecond samples) - the windowing
+  /// primitive SLO/guardrail evaluation diffs.
   device::LogHistogram::BucketSnapshot latency_buckets;
   std::vector<ReplicaStats> per_replica;
 };
@@ -83,7 +65,7 @@ class ReplicaSet {
   /// opts.replicas - 1 clones of it. Throws std::invalid_argument on
   /// invalid options. Compilation happens here, before any traffic.
   ReplicaSet(std::unique_ptr<serve::CompiledModel> prototype,
-             ShardOptions opts = {});
+             serve::BatcherOptions opts = {});
   ~ReplicaSet();
 
   ReplicaSet(const ReplicaSet&) = delete;
@@ -118,16 +100,14 @@ class ReplicaSet {
  private:
   struct Replica {
     std::unique_ptr<serve::CompiledModel> model;
-    std::unique_ptr<device::ThreadPool> lane;
+    std::unique_ptr<device::ThreadPool> lane;  // null on an R = 1 set
+    device::ThreadPool* pool = nullptr;        // where the batches run
     std::unique_ptr<DeadlineBatcher> batcher;  // declared last: stops first
   };
 
-  // aggregate_latency_ precedes replicas_ so it outlives the batchers that
-  // hold a pointer to it.
-  device::LatencyStats aggregate_latency_;
   std::vector<Replica> replicas_;
   /// dsx_shard_routed_total{model,replica}, one per replica (detached when
-  /// the fleet has no metric scope).
+  /// the fleet has no metric scope or a single replica).
   std::vector<obs::Counter> routed_;
   Router router_;
   std::chrono::steady_clock::time_point start_;

@@ -1,11 +1,10 @@
-// dsx::shard - replicated, priority/deadline-aware sharded serving.
+// dsx::shard - replicated, priority/deadline-aware serving.
 //
-// Umbrella header. The subsystem serves one logical model from R
-// independent CompiledModel replicas, each with its own micro-batcher and
-// its own partition of the host thread pool ("execution lanes"), replacing
-// the serving tier's process-wide execution lock with genuine replica
-// concurrency - the serving-side counterpart of the paper's Fig. 14
-// multi-GPU data-parallel scaling. Three pieces:
+// Umbrella header. The subsystem serves one logical model from R >= 1
+// independent CompiledModel replicas, each with its own micro-batcher and,
+// for R > 1, its own partition of the host thread pool ("execution lanes")
+// for genuine replica concurrency - the serving-side counterpart of the
+// paper's Fig. 14 multi-GPU data-parallel scaling. Three pieces:
 //
 //   ReplicaSet      (shard/replica_set.hpp)      - compiles/clones the
 //                   replica fleet, owns the lanes and batchers.
@@ -15,9 +14,9 @@
 //                   priority classes, deadline shedding, bounded-queue
 //                   admission control.
 //
-// Integration: serve::InferenceServer::register_model with
-// BatcherOptions::replicas > 1 serves the model through a ReplicaSet;
-// existing callers shard by changing that one field.
+// Integration: serve::InferenceServer serves every registered model through
+// a ReplicaSet; BatcherOptions::replicas picks R, so callers shard by
+// changing that one field.
 #pragma once
 
 #include "shard/deadline_batcher.hpp"

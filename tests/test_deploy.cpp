@@ -370,9 +370,11 @@ TEST(InferenceServer, HotSwapUnderConcurrentTrafficDropsNothing) {
   constexpr int kPerClient = 40;
   std::atomic<int> answered{0};
   std::atomic<int> wrong{0};
-  std::vector<std::thread> clients;
+  // Joined on every path out of the test; a client that throws is reported
+  // as a failure instead of terminating the process.
+  std::vector<std::jthread> clients;
   for (int c = 0; c < kClients; ++c) {
-    clients.emplace_back([&, c] {
+    clients.push_back(testing::test_thread([&, c] {
       for (int r = 0; r < kPerClient; ++r) {
         const size_t j = static_cast<size_t>(c + r) % images.size();
         const Tensor y = server.infer("m", images[j]);
@@ -381,7 +383,7 @@ TEST(InferenceServer, HotSwapUnderConcurrentTrafficDropsNothing) {
         }
         answered.fetch_add(1);
       }
-    });
+    }));
   }
   // Swap back and forth while traffic flows; one swap lands on a sharded
   // fleet to cover the ReplicaSet path.
@@ -403,13 +405,17 @@ TEST(InferenceServer, HotSwapUnderConcurrentTrafficDropsNothing) {
 TEST(Rollout, ShadowCanaryPromoteThenGuardrailRollback) {
   ModelStore store(fresh_dir("store_rollout"));
 
-  // v1/v2: same tiny design point, different weights. v3: a 2.0-width
-  // variant of the same family - ~64x the MACs, a p99 regression heavy
+  // v1/v2: same tiny design point, different weights. v3: a 4.0-width
+  // variant of the same family - ~256x the MACs, a p99 regression heavy
   // enough to clear the guardrail ratio even when CI contention inflates
-  // the primary's own tail latency.
+  // the primary's own tail latency. (The primary's p99 over its ~50
+  // samples is its slowest request, and a multi-thread pool divides v3's
+  // MACs but not v2's fixed per-launch cost: a 2.0-width v3 ran only ~7x
+  // v2's median on 4 threads, so one scheduler stall of the primary kept
+  // the guardrail from tripping.)
   const ArchSpec spec_v1 = tiny_spec(51);
   const ArchSpec spec_v2 = tiny_spec(52);
-  const ArchSpec spec_v3 = tiny_spec(53, /*width_mult=*/2.0);
+  const ArchSpec spec_v3 = tiny_spec(53, /*width_mult=*/4.0);
 
   // Measure v1's problems once and persist the records with v2, so staging
   // v2 warm-starts (v1 and v2 share every problem shape).
@@ -533,7 +539,7 @@ TEST(Rollout, ShadowCanaryPromoteThenGuardrailRollback) {
   ASSERT_LT(pre_promote.candidate_requests + pre_promote.candidate_errors,
             ropts.guardrail_min_samples);
 
-  // --- stage v3 (64x MACs), canary, and watch the guardrail fire -----------
+  // --- stage v3 (256x MACs), canary, and watch the guardrail fire ----------
   rollout.stage("mnet", "v3", serve::CompileOptions{.max_batch = 4});
   // 100% canary: every request routes to the slow candidate, so it crosses
   // guardrail_min_samples fastest (the deterministic 25% split was already

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "device/thread_pool.hpp"
 #include "tensor/random.hpp"
 #include "tensor/tensor_ops.hpp"
+#include "testing_utils.hpp"
 
 namespace dsx::device {
 namespace {
@@ -85,6 +87,87 @@ TEST(ThreadPool, ReusableAcrossManyCalls) {
     });
     EXPECT_EQ(sum.load(), 64);
   }
+}
+
+TEST(ThreadPool, ConcurrentSubmittersEachCoverTheirRangeExactlyOnce) {
+  // The pool owns its exclusion: submitters on many threads need no lock of
+  // their own, and every launch still covers its range exactly once.
+  ThreadPool pool(4);
+  constexpr int kSubmitters = 6;
+  constexpr int kLaunches = 100;
+  constexpr int64_t kRange = 97;
+  std::vector<std::vector<std::atomic<int>>> hits(kSubmitters);
+  for (auto& h : hits) h = std::vector<std::atomic<int>>(kRange);
+  {
+    std::vector<std::jthread> submitters;
+    for (int t = 0; t < kSubmitters; ++t) {
+      submitters.push_back(testing::test_thread([&, t] {
+        for (int l = 0; l < kLaunches; ++l) {
+          pool.run_chunks(kRange, [&](int64_t b, int64_t e) {
+            for (int64_t i = b; i < e; ++i) {
+              hits[static_cast<size_t>(t)][static_cast<size_t>(i)]++;
+            }
+          });
+        }
+      }));
+    }
+  }
+  for (const auto& h : hits) {
+    for (const auto& count : h) EXPECT_EQ(count.load(), kLaunches);
+  }
+}
+
+/// Runs a launch on `pool` whose chunks starting at `b` satisfying
+/// `nest(b)` launch on `pool` again; returns the error text ("" = none).
+template <typename Nest>
+std::string nested_launch_error(ThreadPool& pool, Nest nest) {
+  try {
+    pool.run_chunks(100, [&](int64_t b, int64_t) {
+      if (nest(b)) pool.run_chunks(4, [](int64_t, int64_t) {});
+    });
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ThreadPool, NestedLaunchFromWorkerChunkThrows) {
+  ThreadPool pool(4);
+  const std::string what =
+      nested_launch_error(pool, [](int64_t b) { return b > 0; });
+  EXPECT_NE(what.find("nested launch"), std::string::npos) << what;
+  // Not wedged: the pool serves the next launch.
+  std::atomic<int> ok{0};
+  pool.run_chunks(8, [&](int64_t b, int64_t e) {
+    ok += static_cast<int>(e - b);
+  });
+  EXPECT_EQ(ok.load(), 8);
+}
+
+TEST(ThreadPool, NestedLaunchFromSubmitterChunkThrows) {
+  ThreadPool pool(4);
+  const std::string what =
+      nested_launch_error(pool, [](int64_t b) { return b == 0; });
+  EXPECT_NE(what.find("nested launch"), std::string::npos) << what;
+  std::atomic<int> ok{0};
+  pool.run_chunks(8, [&](int64_t b, int64_t e) {
+    ok += static_cast<int>(e - b);
+  });
+  EXPECT_EQ(ok.load(), 8);
+}
+
+TEST(ThreadPool, LaunchOnAnotherPoolFromAChunkRuns) {
+  // Only re-entering the SAME pool is an error: a chunk may launch on a
+  // different pool (e.g. a lane worker's kernel reaching the global pool).
+  ThreadPool outer(2);
+  ThreadPool inner(2);
+  std::atomic<int64_t> covered{0};
+  outer.run_chunks(4, [&](int64_t b, int64_t e) {
+    for (int64_t i = b; i < e; ++i) {
+      inner.run_chunks(10, [&](int64_t ib, int64_t ie) { covered += ie - ib; });
+    }
+  });
+  EXPECT_EQ(covered.load(), 40);
 }
 
 TEST(ThreadPool, GlobalPoolExists) {
@@ -352,8 +435,8 @@ TEST(PoolScope, CurrentDefaultsToGlobalAndBindsPerThread) {
 
 TEST(PoolScope, ParallelForRunsOnBoundLane) {
   // Two lanes execute parallel loops concurrently without touching the
-  // global pool's non-reentrant run_chunks: this is the property that lets
-  // shard replicas run without the process-wide execution lock.
+  // global pool: this is the property that lets shard replicas run
+  // concurrently instead of taking turns on one pool.
   ThreadPool lane_a(2), lane_b(2);
   std::atomic<int64_t> sum{0};
   std::thread ta([&] {

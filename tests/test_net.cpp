@@ -29,6 +29,7 @@
 #include "common/socket_io.hpp"
 #include "deploy/deploy.hpp"
 #include "net/net.hpp"
+#include "nn/layer.hpp"
 #include "obs/http_exporter.hpp"
 #include "obs/journal.hpp"
 #include "serve/server.hpp"
@@ -248,15 +249,47 @@ TEST(NetProtocol, PayloadRejectsHostileShapes) {
 
 // ---- wire robustness -------------------------------------------------------
 
-/// One server + one registered model + one running ingress.
+/// Pass-through layer that takes its gate mutex on every forward: a test
+/// holding the mutex pins the next batch inside CompiledModel::run. This
+/// stalls execution on any pool size - a 1-thread pool runs kernels inline
+/// and never blocks on a pool.
+class GateLayer : public nn::Layer {
+ public:
+  explicit GateLayer(std::shared_ptr<std::mutex> gate)
+      : gate_(std::move(gate)) {}
+  Tensor forward(const Tensor& input, bool /*training*/) override {
+    const std::lock_guard<std::mutex> pass(*gate_);
+    return input;
+  }
+  Tensor backward(const Tensor& doutput) override { return doutput; }
+  std::unique_ptr<nn::Layer> clone() const override {
+    return std::make_unique<GateLayer>(gate_);
+  }
+  Shape output_shape(const Shape& input) const override { return input; }
+  std::string name() const override { return "Gate"; }
+
+ private:
+  std::shared_ptr<std::mutex> gate_;
+};
+
+/// One server + one registered model (ending in a GateLayer) + one running
+/// ingress.
 struct WireRig {
   serve::InferenceServer server;
+  std::shared_ptr<std::mutex> gate = std::make_shared<std::mutex>();
   std::unique_ptr<IngressServer> ingress;
 
   explicit WireRig(IngressOptions opts = {}, int64_t max_batch = 4,
                    serve::BatcherOptions bopts = {}) {
-    server.register_model("mnet", compile_spec(tiny_spec(11), max_batch),
-                          bopts);
+    const deploy::ArchSpec spec = tiny_spec(11);
+    auto net = deploy::build_architecture(spec);
+    net->emplace<GateLayer>(gate);
+    server.register_model(
+        "mnet",
+        std::make_unique<serve::CompiledModel>(
+            std::move(net), spec.image_shape(),
+            serve::CompileOptions{.max_batch = max_batch}),
+        bopts);
     ingress = std::make_unique<IngressServer>(server, std::move(opts));
     ingress->start();
   }
@@ -419,7 +452,7 @@ TEST(NetWire, DisconnectMidReplyNeverLeaksOrCrashes) {
   {
     // Stall execution so the reply is guaranteed to complete only after the
     // peer is gone.
-    std::unique_lock<std::mutex> stall(serve::execution_mutex());
+    std::unique_lock<std::mutex> stall(*rig.gate);
     const int fd = sockio::connect_tcp("127.0.0.1", rig.port(),
                                        std::chrono::milliseconds(5000));
     ASSERT_TRUE(sockio::send_all(
@@ -523,7 +556,7 @@ TEST(NetWire, AdmissionErrorsArriveAsFramedReplies) {
   Client client = rig.client();
   std::vector<uint64_t> ids;
   {
-    std::unique_lock<std::mutex> stall(serve::execution_mutex());
+    std::unique_lock<std::mutex> stall(*rig.gate);
     for (int i = 0; i < 4; ++i) {
       ids.push_back(client.send("mnet", make_image(40 + i)));
     }
@@ -551,7 +584,7 @@ TEST(NetWire, ExpiredDeadlineComesBackTyped) {
   uint64_t blocked_id = 0;
   uint64_t doomed_id = 0;
   {
-    std::unique_lock<std::mutex> stall(serve::execution_mutex());
+    std::unique_lock<std::mutex> stall(*rig.gate);
     blocked_id = client.send("mnet", make_image(50));
     // Give the first request time to enter execution (and block).
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -593,7 +626,7 @@ TEST(NetTenant, QuotaRejectsTypedWithoutDroppingConnection) {
   Client client = rig.client("tok-a");  // max_inflight = 1
   uint64_t first = 0, second = 0;
   {
-    std::unique_lock<std::mutex> stall(serve::execution_mutex());
+    std::unique_lock<std::mutex> stall(*rig.gate);
     first = client.send("mnet", make_image(4));
     second = client.send("mnet", make_image(5));
     // The second frame is parsed while the first is still in flight; the
@@ -742,11 +775,12 @@ TEST(NetResidency, MixedTenantWireTrafficUnderChurnZeroErrors) {
     refs.push_back(compiled->run(image));
   }
 
-  std::atomic<bool> stop_swaps{false};
-  std::thread swapper([&] {
+  // Test threads join on every path out of the test (the swapper stops on
+  // request), and an exception in one is reported as a test failure.
+  std::jthread swapper = testing::test_thread([&](std::stop_token stop) {
     // Hot-swap the direct model with a same-seed recompile: outputs stay
     // bit-identical while fleets churn underneath the wire traffic.
-    while (!stop_swaps.load()) {
+    while (!stop.stop_requested()) {
       server.swap_model("direct", compile_spec(tiny_spec(500)));
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
@@ -774,13 +808,12 @@ TEST(NetResidency, MixedTenantWireTrafficUnderChurnZeroErrors) {
       }
     }
   };
-  std::thread a([&] { run_client("tok-a"); });
-  std::thread b([&] { run_client("tok-b"); });
-  std::thread anon([&] { run_client(""); });
-  a.join();
-  b.join();
-  anon.join();
-  stop_swaps.store(true);
+  {
+    const std::jthread a = testing::test_thread([&] { run_client("tok-a"); });
+    const std::jthread b = testing::test_thread([&] { run_client("tok-b"); });
+    const std::jthread anon = testing::test_thread([&] { run_client(""); });
+  }
+  swapper.request_stop();
   swapper.join();
 
   EXPECT_EQ(answered.load(), 3 * kPerClient) << "exactly-once over the wire";

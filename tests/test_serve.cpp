@@ -22,9 +22,9 @@
 #include "nn/trainer.hpp"
 #include "ops/conv2d.hpp"
 #include "quant/quant_layers.hpp"
-#include "serve/batcher.hpp"
 #include "serve/compiled_model.hpp"
 #include "serve/server.hpp"
+#include "shard/deadline_batcher.hpp"
 #include "tensor/random.hpp"
 #include "tensor/workspace.hpp"
 #include "testing_utils.hpp"
@@ -225,9 +225,9 @@ TEST(CompiledModel, SteadyStateRunsDoNotGrowWorkspace) {
   EXPECT_EQ(compiled.report().workspace_floats, floats);
 }
 
-// ---- DynamicBatcher / InferenceServer --------------------------------------
+// ---- Batcher / InferenceServer --------------------------------------------
 
-TEST(DynamicBatcher, CoalescedAnswersMatchPerImageEval) {
+TEST(Batcher, CoalescedAnswersMatchPerImageEval) {
   auto model = make_scc_model(61);
   warm_up(*model, 62);
   auto compiled = std::make_unique<CompiledModel>(
@@ -235,27 +235,28 @@ TEST(DynamicBatcher, CoalescedAnswersMatchPerImageEval) {
   const auto images = make_images(8, 63);
   const auto refs = per_image_reference(*compiled, images);
 
-  DynamicBatcher batcher(*compiled,
-                         {.max_batch = 4,
-                          .max_delay = std::chrono::microseconds(2000)});
+  shard::DeadlineBatcher batcher(*compiled,
+                                 {.max_batch = 4,
+                                  .max_delay = std::chrono::microseconds(2000)});
   std::vector<std::future<Tensor>> futures;
   for (const Tensor& img : images) futures.push_back(batcher.submit(img));
   for (size_t i = 0; i < futures.size(); ++i) {
     EXPECT_TRUE(bit_identical(futures[i].get(), refs[i])) << "request " << i;
   }
-  const BatcherStats stats = batcher.stats();
+  const BatcherStats stats = batcher.stats().batcher;
   EXPECT_EQ(stats.requests, 8);
   EXPECT_GE(stats.batches, 2);  // 8 requests cannot fit one batch of 4
   EXPECT_EQ(stats.latency.count, 8);
 }
 
-TEST(DynamicBatcher, StopDrainsPendingRequests) {
+TEST(Batcher, StopDrainsPendingRequests) {
   auto model = make_scc_model(71);
   auto compiled = std::make_unique<CompiledModel>(
       std::move(model), Shape{3, kImage, kImage}, CompileOptions{.max_batch = 2});
-  auto batcher = std::make_unique<DynamicBatcher>(
-      *compiled, BatcherOptions{.max_batch = 2,
-                                .max_delay = std::chrono::microseconds(50000)});
+  auto batcher = std::make_unique<shard::DeadlineBatcher>(
+      *compiled,
+      shard::DeadlineBatcherOptions{
+          .max_batch = 2, .max_delay = std::chrono::microseconds(50000)});
   const auto images = make_images(5, 72);
   std::vector<std::future<Tensor>> futures;
   for (const Tensor& img : images) futures.push_back(batcher->submit(img));
@@ -303,6 +304,65 @@ TEST(InferenceServer, ConcurrentClientsEachAnsweredExactlyOnce) {
   EXPECT_EQ(stats.batcher.latency.count, kClients * kPerClient);
   EXPECT_GT(stats.batcher.qps, 0.0);
   EXPECT_LE(stats.batcher.latency.p50_ms, stats.batcher.latency.p99_ms);
+}
+
+TEST(InferenceServer, CompilesDuringLiveTrafficOnTheGlobalPool) {
+  // A compile drives the same global pool as a serving batcher (its
+  // workspace dry run, its tuning pass), and nothing but the pool keeps the
+  // two apart: residency fault-in, hot-swap and rollout staging all compile
+  // under live traffic. Every request must still be answered bit-identically
+  // and every compile must succeed.
+  constexpr int kClients = 4;
+  constexpr int kCompiles = 24;
+  auto compiled = std::make_unique<CompiledModel>(
+      make_scc_model(85), Shape{3, kImage, kImage},
+      CompileOptions{.max_batch = 4});
+  const auto images = make_images(4, 86);
+  const auto refs = per_image_reference(*compiled, images);
+
+  InferenceServer server;
+  server.register_model("scc", std::move(compiled),
+                        {.max_batch = 4,
+                         .max_delay = std::chrono::microseconds(200)});
+
+  std::atomic<int> compiles{0};
+  std::atomic<bool> compiling{true};
+  std::atomic<int> answered{0};
+  std::atomic<int> mismatched{0};
+  {
+    // Clients serve until the compiler is done, however it ends.
+    std::vector<std::jthread> threads;
+    threads.push_back(testing::test_thread([&] {
+      struct Done {
+        std::atomic<bool>& flag;
+        ~Done() { flag.store(false); }
+      } done{compiling};
+      for (int i = 0; i < kCompiles; ++i) {
+        CompileOptions copts;
+        copts.max_batch = 2 + i % 3;  // fresh shapes keep kTune measuring
+        copts.tuning = i % 2 == 0 ? tune::Mode::kOff : tune::Mode::kTune;
+        copts.tuner = {.warmup = 0, .iters = 1};
+        const CompiledModel plan(make_scc_model(87),
+                                 Shape{3, kImage, kImage}, copts);
+        compiles.fetch_add(1);
+      }
+    }));
+    for (int t = 0; t < kClients; ++t) {
+      threads.push_back(testing::test_thread([&, t] {
+        for (size_t k = 0; compiling.load() || k < 8; ++k) {
+          const size_t j = (static_cast<size_t>(t) + k) % images.size();
+          if (!bit_identical(server.infer("scc", images[j]), refs[j])) {
+            mismatched.fetch_add(1);
+          }
+          answered.fetch_add(1);
+        }
+      }));
+    }
+  }
+
+  EXPECT_EQ(compiles.load(), kCompiles);
+  EXPECT_EQ(mismatched.load(), 0);
+  EXPECT_EQ(server.stats("scc").batcher.requests, answered.load());
 }
 
 TEST(InferenceServer, ServesQuantizedSCCModelBitIdentical) {
@@ -371,34 +431,37 @@ TEST(InferenceServer, RoutesBetweenMultipleModels) {
       server.register_model("a", nullptr), Error);
 }
 
-TEST(DynamicBatcher, OptionsAreValidatedAtConstruction) {
+TEST(Batcher, OptionsAreValidatedAtConstruction) {
   auto model = make_scc_model(75);
   CompiledModel compiled(std::move(model), Shape{3, kImage, kImage},
                          {.max_batch = 2});
-  EXPECT_THROW(DynamicBatcher(compiled, {.max_batch = -1}),
+  using shard::DeadlineBatcher;
+  EXPECT_THROW(DeadlineBatcher(compiled, {.max_batch = -1}),
                std::invalid_argument);
   EXPECT_THROW(
-      DynamicBatcher(compiled, {.max_delay = std::chrono::microseconds(-1)}),
+      DeadlineBatcher(compiled, {.max_delay = std::chrono::microseconds(-1)}),
       std::invalid_argument);
-  EXPECT_THROW(DynamicBatcher(compiled, {.queue_capacity = -3}),
+  EXPECT_THROW(DeadlineBatcher(compiled, {.queue_capacity = -3}),
                std::invalid_argument);
-  EXPECT_THROW(DynamicBatcher(compiled, {.replicas = 0}),
+  InferenceServer server;
+  EXPECT_THROW(server.register_model("m", compiled.clone_replica(),
+                                     {.replicas = 0}),
                std::invalid_argument);
   // max_batch = 0 remains the documented "use the model's max_batch".
-  DynamicBatcher ok(compiled, {.max_batch = 0});
+  DeadlineBatcher ok(compiled, {.max_batch = 0});
   ok.stop();
 }
 
-TEST(DynamicBatcher, BoundedQueueRejectsWhenFull) {
+TEST(Batcher, BoundedQueueRejectsWhenFull) {
   auto model = make_scc_model(76);
   CompiledModel compiled(std::move(model), Shape{3, kImage, kImage},
                          {.max_batch = 2});
   // A stopped-up batcher: huge delay so the queue holds requests while we
   // overfill it.
-  DynamicBatcher batcher(compiled,
-                         {.max_batch = 2,
-                          .max_delay = std::chrono::microseconds(200000),
-                          .queue_capacity = 2});
+  shard::DeadlineBatcher batcher(
+      compiled, {.max_batch = 2,
+                 .max_delay = std::chrono::microseconds(200000),
+                 .queue_capacity = 2});
   const auto images = make_images(4, 77);
   std::vector<std::future<Tensor>> futures;
   int rejected = 0;
@@ -415,26 +478,26 @@ TEST(DynamicBatcher, BoundedQueueRejectsWhenFull) {
   // raced ahead; accept either, but every accepted request must answer.
   batcher.stop();
   for (auto& f : futures) EXPECT_EQ(f.get().numel(), kClasses);
-  EXPECT_EQ(batcher.stats().requests,
+  EXPECT_EQ(batcher.stats().batcher.requests,
             static_cast<int64_t>(futures.size()));
   (void)rejected;
 }
 
-TEST(DynamicBatcher, DeadlineAwareSubmitPassesThroughToTheEngine) {
-  // DynamicBatcher is a FIFO wrapper over shard::DeadlineBatcher; the
-  // deadline-aware overload gets real shedding with visible counters.
+TEST(Batcher, DeadlineAwareSubmitShedsWithVisibleCounters) {
+  // A plain submit is FIFO; the deadline-aware one gets real shedding with
+  // visible counters.
   auto model = make_scc_model(74);
   CompiledModel compiled(std::move(model), Shape{3, kImage, kImage},
                          {.max_batch = 2});
-  DynamicBatcher batcher(compiled);
+  shard::DeadlineBatcher batcher(compiled);
   const auto images = make_images(2, 73);
   auto doomed = batcher.submit(
       images[0],
       {.deadline = std::chrono::steady_clock::now() - std::chrono::seconds(1)});
   EXPECT_THROW(doomed.get(), DeadlineExceeded);
   EXPECT_EQ(batcher.infer(images[1]).numel(), kClasses);
-  EXPECT_EQ(batcher.deadline_stats().shed, 1);
-  EXPECT_EQ(batcher.stats().requests, 1);  // sheds never hit a batch
+  EXPECT_EQ(batcher.stats().shed, 1);
+  EXPECT_EQ(batcher.stats().batcher.requests, 1);  // sheds never hit a batch
 }
 
 TEST(InferenceServer, StopSubmitRaceAnswersOrRejectsEveryRequest) {

@@ -11,10 +11,12 @@
 #include <cstring>
 #include <future>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/check.hpp"
+#include "device/thread_pool.hpp"
 #include "nn/bn_folding.hpp"
 #include "nn/containers.hpp"
 #include "nn/layers_basic.hpp"
@@ -22,6 +24,7 @@
 #include "nn/layers_mix.hpp"
 #include "nn/sgd.hpp"
 #include "nn/trainer.hpp"
+#include "obs/metrics.hpp"
 #include "quant/quant_layers.hpp"
 #include "serve/server.hpp"
 #include "shard/shard.hpp"
@@ -513,10 +516,10 @@ TEST(ReplicaSet, MultiThreadedStressAcrossReplicas) {
     refs.push_back(prototype->model().forward(img, false));
   }
   ReplicaSet set(std::move(prototype),
-                 {.replicas = 2,
-                  .policy = RoutingPolicy::kLeastOutstanding,
-                  .max_batch = 4,
-                  .max_delay = std::chrono::microseconds(500)});
+                 {.max_batch = 4,
+                  .max_delay = std::chrono::microseconds(500),
+                  .replicas = 2,
+                  .policy = RoutingPolicy::kLeastOutstanding});
 
   std::atomic<int> answered{0};
   std::atomic<int> mismatched{0};
@@ -543,11 +546,38 @@ TEST(ReplicaSet, MultiThreadedStressAcrossReplicas) {
   EXPECT_EQ(stats.rejected, 0);
 }
 
+TEST(ReplicaSet, SingleReplicaRunsOnTheCurrentPoolUnderUnlabeledSeries) {
+  // R = 1 is the path every unsharded model takes: no private lane - the
+  // batcher runs on the constructing thread's current pool - and the
+  // single-batcher series, {model} with no replica label and no routing
+  // counter.
+  device::ThreadPool bound(3);
+  const device::PoolScope scope(bound);
+  ReplicaSet set(make_compiled(161), {.metric_model = "r1-probe"});
+  const auto images = make_images(1, 162);
+  EXPECT_TRUE(bit_identical(set.infer(images[0]),
+                            set.replica_model(0).model().forward(images[0],
+                                                                 false)));
+  const ShardStats stats = set.stats();
+  ASSERT_EQ(stats.replicas, 1);
+  EXPECT_EQ(stats.per_replica.front().lane_threads, bound.size());
+  EXPECT_EQ(stats.latency.count, 1);
+  for (const auto& pool : device::ThreadPool::pool_stats()) {
+    EXPECT_EQ(pool.name.rfind("r1-probe", 0), std::string::npos) << pool.name;
+  }
+  const std::string text = obs::Registry::global().prometheus_text();
+  EXPECT_NE(text.find("dsx_serve_requests_total{model=\"r1-probe\"} "),
+            std::string::npos);
+  EXPECT_EQ(text.find("model=\"r1-probe\","), std::string::npos);
+  EXPECT_EQ(text.find("dsx_shard_routed_total{model=\"r1-probe\""),
+            std::string::npos);
+}
+
 TEST(ReplicaSet, StopDrainsAndRejectsNewWork) {
   ReplicaSet set(make_compiled(131),
-                 {.replicas = 2,
-                  .max_batch = 2,
-                  .max_delay = std::chrono::microseconds(50000)});
+                 {.max_batch = 2,
+                  .max_delay = std::chrono::microseconds(50000),
+                  .replicas = 2});
   const auto images = make_images(5, 132);
   std::vector<std::future<Tensor>> futures;
   for (const Tensor& img : images) futures.push_back(set.submit(img));
@@ -595,9 +625,8 @@ TEST(ShardedServer, OneFieldRegistrationServesBitIdentical) {
 
 TEST(ShardedServer, DeadlineSubmitOnShardedAndPlainModels) {
   serve::InferenceServer server;
-  server.register_model_sharded("sharded", make_compiled(151),
-                                {.replicas = 2,
-                                 .policy = RoutingPolicy::kRoundRobin});
+  server.register_model("sharded", make_compiled(151),
+                        {.replicas = 2, .policy = RoutingPolicy::kRoundRobin});
   server.register_model("plain", make_compiled(152));
   const auto images = make_images(1, 153);
 

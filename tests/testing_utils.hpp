@@ -1,11 +1,16 @@
-// Shared test helpers: naive reference kernels, ULP comparisons and
-// numerical gradient checks.
+// Shared test helpers: naive reference kernels, ULP comparisons, numerical
+// gradient checks and exception-safe test threads.
 #pragma once
 
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <exception>
 #include <functional>
+#include <stop_token>
+#include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -160,6 +165,27 @@ inline float max_numeric_grad_error(
     max_err = std::max(max_err, std::abs(numeric - analytic[i]));
   }
   return max_err;
+}
+
+/// Starts a test thread that joins on every path out of the test body
+/// (std::jthread: destruction requests stop, then joins) and reports an
+/// exception escaping `body` as a test failure instead of std::terminate.
+/// `body` may take the thread's std::stop_token to end a loop on request.
+template <typename Body>
+std::jthread test_thread(Body body) {
+  return std::jthread([body = std::move(body)](std::stop_token stop) mutable {
+    try {
+      if constexpr (std::is_invocable_v<Body&, std::stop_token>) {
+        body(stop);
+      } else {
+        body();
+      }
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "test thread threw: " << e.what();
+    } catch (...) {
+      ADD_FAILURE() << "test thread threw a non-std exception";
+    }
+  });
 }
 
 }  // namespace dsx::testing
