@@ -22,7 +22,9 @@
 #                                seqlock suites (Intern.*, ExemplarSeqlock.*),
 #                                the thread-pool suites (ThreadPool.*:
 #                                concurrent submitters + nested-launch
-#                                errors; PoolAccounting.*), compiles racing
+#                                errors; PoolAccounting.*), inline launches
+#                                (Launch.*), the work-conserving batcher
+#                                (DeadlineBatcher.*, Batcher.*), compiles racing
 #                                live serving on the global pool, and the
 #                                full net suite (ingress event loop +
 #                                dispatch pool + residency single-flight)
@@ -76,7 +78,8 @@ if [[ "${FAST}" != "1" ]]; then
 
   echo "== net ingress (smoke, json) =="
   # Loopback wire QPS vs the in-process submit() path at equal concurrency
-  # (SHAPE-CHECK >= 0.9x), every submitted request answered, then a
+  # (SHAPE-CHECK >= 0.9x, median of interleaved round-pair ratios), every
+  # submitted request answered, then a
   # residency-churn phase (3 models under a budget for ~2.5) with zero
   # errors while evictions and fault-ins run.
   ./build/bench_net_ingress --smoke --json
@@ -340,9 +343,9 @@ if [[ "${SANITIZE}" == "1" ]]; then
   echo "== configure (TSan Debug) =="
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Debug -DDSX_SANITIZE_THREAD=ON
 
-  echo "== build (TSan Debug, test_obs + test_device + test_serve + test_net) =="
+  echo "== build (TSan Debug, test_obs + test_device + test_serve + test_shard + test_net) =="
   cmake --build build-tsan -j"${JOBS}" \
-    --target test_obs test_device test_serve test_net
+    --target test_obs test_device test_serve test_shard test_net
 
   echo "== obs intern + exemplar-seqlock tests (TSan) =="
   ./build-tsan/test_obs --gtest_filter='Intern.*:ExemplarSeqlock.*'
@@ -350,7 +353,16 @@ if [[ "${SANITIZE}" == "1" ]]; then
   echo "== thread-pool exclusion + accounting tests (TSan) =="
   # The pool owns its exclusion: concurrent submitters, nested launches
   # that must throw instead of deadlocking, and the busy/idle counters.
-  ./build-tsan/test_device --gtest_filter='ThreadPool.*:PoolAccounting.*'
+  # Launch.* covers launches that run inline on the caller instead of the
+  # pool.
+  ./build-tsan/test_device \
+    --gtest_filter='ThreadPool.*:PoolAccounting.*:Launch.*'
+
+  echo "== work-conserving batcher tests (TSan) =="
+  # The worker dispatches as soon as it is free, so submitters race batch
+  # formation and execution on every request.
+  ./build-tsan/test_shard --gtest_filter='DeadlineBatcher.*'
+  ./build-tsan/test_serve --gtest_filter='Batcher.*'
 
   echo "== compiles racing live serving on the global pool (TSan) =="
   ./build-tsan/test_serve \

@@ -70,9 +70,18 @@ class KernelProfileScope {
   bool was_enabled_;
 };
 
-/// Executes body(tid) for tid in [0, threads) on the pool, recording the
-/// launch when profiling is enabled. This is the single entry point all
-/// DSXplore kernels go through.
+// Cheap launches run on the caller: when a launch's modeled work
+// (flops_per_thread + bytes_per_thread, times the modeled thread count) is
+// below kInlineLaunchWork (device/parallel_for.hpp), the body runs as one
+// chunk on the calling thread and never wakes the pool - waking every
+// worker for a few KB costs more than the work - and the caller then yields
+// its CPU, as a pooled launch does while it waits for its workers. The
+// launch is recorded in the KernelLog either way, so launch counts and
+// gpusim see no difference.
+
+/// Executes body(tid) for tid in [0, threads) on the pool (or inline, see
+/// above), recording the launch when profiling is enabled. This is the
+/// single entry point all DSXplore kernels go through.
 void launch_kernel(const char* name, int64_t threads, const KernelCosts& costs,
                    const std::function<void(int64_t)>& body);
 

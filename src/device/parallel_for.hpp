@@ -6,8 +6,9 @@
 // results: every output index is computed by exactly one thread, so pool
 // size only affects scheduling, not floating-point evaluation order.
 // parallel_for_2d flattens a rectangular space. `grain` lets callers keep
-// tiny loops serial (thread hand-off on a 2-core host costs more than the
-// work it would save).
+// tiny loops serial (thread hand-off costs more than the work it would
+// save). Kernel launches add a work-based rule on top (kInlineLaunchWork
+// below); running a launch inline does not change float order either.
 //
 // The grain threshold is a heuristic, and dsx::tune measures it instead of
 // trusting it: a GrainOverride scope substitutes a tuned grain for
@@ -27,6 +28,20 @@ namespace dsx::device {
 
 /// Minimum iterations per worker before a loop is worth parallelising.
 inline constexpr int64_t kDefaultGrain = 1024;
+
+/// Modeled work (KernelCosts flops + bytes, times modeled threads) below
+/// which a kernel launch runs on the calling thread instead of the pool
+/// (see device/launch.hpp). A pooled launch costs at least one dispatch plus
+/// its work split P ways, so running inline wins whenever the serial work
+/// takes no longer than a dispatch. Calibration on a 4-vCPU Xeon: an empty
+/// ThreadPool::run_chunks (perfbench's pool.dispatch_us) costs 6-9 us quiet
+/// and 15-20 us under serving load; a ReLU launch (9 units per element)
+/// runs 73 Ki units in 7.3 us inline against 15.1 us pooled, and 147 Ki
+/// units in 15.1 us against 25.8 us. 128 Ki units is about one quiet
+/// dispatch of serial work. In perfbench's MobileNet-SCC plan it moves 26
+/// of the 27 batch-1 ReLUs inline; the first conv, the 16 Ki-element ReLU
+/// and most batch-8 launches stay on the pool.
+inline constexpr double kInlineLaunchWork = 128.0 * 1024.0;
 
 /// Grain value that keeps any loop serial (total < grain always holds).
 inline constexpr int64_t kSerialGrain = std::numeric_limits<int64_t>::max();

@@ -104,8 +104,10 @@ struct BatcherOptions {
   /// Largest micro-batch; 0 means the model's compiled max_batch. Clamped to
   /// the model's max_batch either way.
   int64_t max_batch = 0;
-  /// How long the worker may hold the oldest queued request while waiting
-  /// for the batch to fill.
+  /// Anti-starvation age: a request queued longer than this rides in the
+  /// next batch even when EDF would pass it over. It is not a hold - a free
+  /// batcher dispatches whatever is queued at once, and batches grow only
+  /// from requests that arrive while the previous batch executes.
   std::chrono::microseconds max_delay{2000};
   /// Bounded-queue admission control: submit() throws QueueFull once this
   /// many requests are waiting (per replica). 0 = unbounded.

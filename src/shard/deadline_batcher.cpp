@@ -106,7 +106,7 @@ std::future<Tensor> DeadlineBatcher::submit(const Tensor& image,
     req.promise.set_exception(deadline_error());
     return future;
   }
-  cv_.notify_all();
+  cv_.notify_one();  // the worker is the only waiter
   return future;
 }
 
@@ -224,34 +224,10 @@ void DeadlineBatcher::worker_loop() {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
       if (queue_.empty()) return;  // stopping and drained
-      // Wait for the batch to fill, but no longer than the EDF front's
-      // max_delay budget (the front is served next, so max_delay bounds ITS
-      // hold time; under pure FIFO traffic the front is also the oldest
-      // arrival) - and fire BEFORE the front's deadline, with enough lead
-      // that the deadline-triggered wake forms the batch while the request
-      // is still live. Waking exactly AT the deadline would guarantee the
-      // shed of every request whose budget is tighter than max_delay, even
-      // on an idle server. The lead shrinks as the deadline approaches (an
-      // eighth of the remaining budget, clamped); deadlines bound queueing,
-      // so a batch formed inside the lead may still finish late. The cutoff
-      // is recomputed on EVERY wakeup: a tighter-deadline request arriving
-      // mid-wait becomes the new front and must tighten the cutoff, not
-      // sleep behind the stale one.
-      while (!stopping_ &&
-             static_cast<int64_t>(queue_.size()) < max_batch_) {
-        const auto now = std::chrono::steady_clock::now();
-        auto cutoff = queue_.front().enqueued + max_delay_;
-        if (queue_.front().deadline != serve::kNoDeadline) {
-          const auto lead = std::clamp<std::chrono::steady_clock::duration>(
-              (queue_.front().deadline - now) / 8,
-              std::chrono::microseconds(200), std::chrono::milliseconds(20));
-          cutoff = std::min(cutoff, queue_.front().deadline - lead);
-        }
-        if (cutoff <= now ||
-            cv_.wait_until(lock, cutoff) == std::cv_status::timeout) {
-          break;
-        }
-      }
+      // Work-conserving: a free worker batches whatever is queued now and
+      // never holds a request for the batch to fill. Requests that arrive
+      // while a batch executes coalesce into the next one, so load, not a
+      // timer, sets the batch size.
       form_batch_locked(std::chrono::steady_clock::now(), batch, shed);
     }
     answer(batch, shed);

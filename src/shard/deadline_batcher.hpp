@@ -2,8 +2,11 @@
 // of every served model.
 //
 // Clients submit single images; one worker thread coalesces them into
-// micro-batches (bounded by max_batch and by how long the front request has
-// waited) and executes them on the compiled plan. Batching amortizes
+// micro-batches of up to max_batch and executes them on the compiled plan.
+// The worker is work-conserving: when it is free it batches whatever is
+// queued at once, and requests that arrive while a batch executes coalesce
+// into the next one. Load, not a timer, sets the batch size, so an idle
+// server answers a lone request without holding it. Batching amortizes
 // per-call costs (kernel launches, pool wake-ups, GEMM setup) across
 // requests. On top of that the queue has three scheduling features:
 //
@@ -49,7 +52,9 @@ namespace dsx::shard {
 struct DeadlineBatcherOptions {
   /// Largest micro-batch; 0 = the model's compiled max_batch (clamped).
   int64_t max_batch = 0;
-  /// How long the oldest queued request may wait for the batch to fill.
+  /// Anti-starvation age: a request queued longer than this rides in the
+  /// next batch even when EDF would pass it over. It never holds a batch -
+  /// a free worker dispatches at once.
   std::chrono::microseconds max_delay{2000};
   /// Bounded queue: submit() throws serve::QueueFull once this many
   /// requests wait. 0 = unbounded.

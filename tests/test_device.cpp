@@ -2,11 +2,16 @@
 // atomics, kernel-launch logging and the virtual device group.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
+#include <functional>
+#include <mutex>
 #include <numeric>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -577,6 +582,101 @@ TEST(PoolAccounting, NamedPoolsAppearInStatsAnonymousDoNot) {
     saw_global = saw_global || st.name == "global";
   }
   EXPECT_TRUE(saw_global);
+}
+
+// ---- launch inline rule (cheap launches run on the caller) -----------------
+
+/// Where each chunk of one launch ran.
+struct ChunkTrace {
+  std::mutex mu;
+  std::vector<std::pair<int64_t, int64_t>> ranges;
+  std::vector<std::thread::id> threads;
+
+  std::function<void(int64_t, int64_t)> body(std::vector<float>& out) {
+    return [this, &out](int64_t b, int64_t e) {
+      for (int64_t i = b; i < e; ++i) {
+        const float x = static_cast<float>(i) * 0.37f;
+        out[static_cast<size_t>(i)] = x / (1.0f + x * x) + 0.1f * x;
+      }
+      const std::lock_guard<std::mutex> lock(mu);
+      ranges.emplace_back(b, e);
+      threads.push_back(std::this_thread::get_id());
+    };
+  }
+};
+
+constexpr KernelCosts kReluCosts{1.0, 8.0};
+
+TEST(Launch, BelowBreakEvenRunsOnTheCallingThread) {
+  AccountingScope acct;
+  ThreadPool pool(4, "launch-inline");
+  const PoolScope scope(pool);
+  // Above kDefaultGrain iterations, so only the work rule keeps it inline.
+  constexpr int64_t kExec = 4096;
+  constexpr int64_t kModeled = 8192;
+  ASSERT_LT((kReluCosts.flops_per_thread + kReluCosts.bytes_per_thread) *
+                static_cast<double>(kModeled),
+            kInlineLaunchWork);
+  std::vector<float> out(kExec);
+  ChunkTrace trace;
+  KernelProfileScope profile;
+  launch_kernel_chunks_modeled("cheap", kExec, kModeled, kReluCosts,
+                               trace.body(out));
+  ASSERT_EQ(trace.ranges.size(), 1u);
+  EXPECT_EQ(trace.ranges[0], (std::pair<int64_t, int64_t>{0, kExec}));
+  EXPECT_EQ(trace.threads[0], std::this_thread::get_id());
+  EXPECT_EQ(pool.busy_ns(), 0);
+  const auto records = profile.records();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].name, "cheap");
+  EXPECT_EQ(records[0].threads, kModeled);
+}
+
+TEST(Launch, AboveBreakEvenSplitsAcrossThePool) {
+  AccountingScope acct;
+  ThreadPool pool(4, "launch-pooled");
+  const PoolScope scope(pool);
+  constexpr int64_t kN = 1 << 16;
+  ASSERT_GE((kReluCosts.flops_per_thread + kReluCosts.bytes_per_thread) *
+                static_cast<double>(kN),
+            kInlineLaunchWork);
+  std::vector<float> out(kN);
+  ChunkTrace trace;
+  KernelProfileScope profile;
+  launch_kernel_chunks("costly", kN, kReluCosts, trace.body(out));
+  EXPECT_EQ(trace.ranges.size(), pool.size());
+  int64_t covered = 0;
+  for (const auto& [b, e] : trace.ranges) covered += e - b;
+  EXPECT_EQ(covered, kN);
+  EXPECT_NE(std::count(trace.threads.begin(), trace.threads.end(),
+                       std::this_thread::get_id()),
+            static_cast<std::ptrdiff_t>(trace.threads.size()));
+  EXPECT_GT(pool.busy_ns(), 0);
+  ASSERT_EQ(profile.records().size(), 1u);
+  EXPECT_EQ(profile.records()[0].threads, kN);
+}
+
+TEST(Launch, InlineAndPooledOutputsAreBitIdentical) {
+  ThreadPool pool(4);
+  const PoolScope scope(pool);
+  constexpr int64_t kN = 1 << 15;
+  std::vector<float> inline_out(kN), pooled_out(kN);
+  ChunkTrace inline_trace, pooled_trace;
+  launch_kernel_chunks("same", kN, {}, inline_trace.body(inline_out));
+  launch_kernel_chunks("same", kN, kReluCosts, pooled_trace.body(pooled_out));
+  ASSERT_EQ(inline_trace.ranges.size(), 1u);
+  ASSERT_GT(pooled_trace.ranges.size(), 1u);
+  EXPECT_EQ(std::memcmp(inline_out.data(), pooled_out.data(),
+                        inline_out.size() * sizeof(float)),
+            0);
+  // The per-thread form takes the same rule.
+  std::vector<std::thread::id> ran_on(kN);
+  launch_kernel("per_thread", kN, {}, [&](int64_t i) {
+    ran_on[static_cast<size_t>(i)] = std::this_thread::get_id();
+  });
+  EXPECT_EQ(std::count(ran_on.begin(), ran_on.end(),
+                       std::this_thread::get_id()),
+            kN);
 }
 
 }  // namespace

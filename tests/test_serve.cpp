@@ -456,8 +456,8 @@ TEST(Batcher, BoundedQueueRejectsWhenFull) {
   auto model = make_scc_model(76);
   CompiledModel compiled(std::move(model), Shape{3, kImage, kImage},
                          {.max_batch = 2});
-  // A stopped-up batcher: huge delay so the queue holds requests while we
-  // overfill it.
+  // Four instant submissions against capacity 2. A free worker dispatches
+  // at once, so whether any is rejected depends on how far it races ahead.
   shard::DeadlineBatcher batcher(
       compiled, {.max_batch = 2,
                  .max_delay = std::chrono::microseconds(200000),

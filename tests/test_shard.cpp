@@ -11,6 +11,7 @@
 #include <cstring>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -277,10 +278,10 @@ TEST(DeadlineBatcher, ExpiredRequestsAreShedWithDeadlineExceeded) {
 }
 
 TEST(DeadlineBatcher, TightDeadlineOnIdleWorkerIsExecutedNotShed) {
-  // Regression: the worker used to wait until exactly the front request's
-  // deadline before forming a batch, guaranteeing the shed of any request
-  // whose budget was shorter than max_delay even on an idle server. The
-  // deadline-triggered wake must fire with enough lead to execute it.
+  // Regression: a worker that held a batch until exactly the front
+  // request's deadline shed every request whose budget was shorter than
+  // max_delay, even on an idle server. A free worker dispatches at once,
+  // so a tight budget is executed, never shed.
   auto compiled = make_compiled(65);
   DeadlineBatcher batcher(
       *compiled,
@@ -291,27 +292,27 @@ TEST(DeadlineBatcher, TightDeadlineOnIdleWorkerIsExecutedNotShed) {
   const DeadlineBatcherStats stats = batcher.stats();
   EXPECT_EQ(stats.shed, 0);
   EXPECT_EQ(stats.batcher.requests, 1);
-  // The batch formed near the deadline (minus the lead), not at max_delay.
+  // The batch formed long before max_delay.
   EXPECT_LT(stats.batcher.latency.max_ms, 1000.0);
 }
 
 TEST(DeadlineBatcher, TighterDeadlineArrivingMidWaitTightensTheCutoff) {
-  // Regression: the worker computed its batch-formation cutoff once before
-  // sleeping; a tighter-deadline request arriving mid-wait became the new
-  // EDF front but slept behind the stale cutoff and was shed. The cutoff
-  // must be recomputed on every wakeup.
+  // Regression: a worker holding a batch on a cutoff computed before it
+  // slept let a tighter-deadline request arriving mid-wait sleep behind the
+  // stale cutoff and be shed. No request may wait on a no-deadline
+  // request's max_delay: a free worker dispatches each one at once.
   auto compiled = make_compiled(64);
   DeadlineBatcher batcher(
       *compiled,
       {.max_batch = 4, .max_delay = std::chrono::microseconds(2'000'000)});
   const auto images = make_images(2, 63);
-  // No-deadline request parks the worker on a ~2s cutoff...
+  // A no-deadline request with a ~2s max_delay...
   auto slow = batcher.submit(images[0]);
   std::this_thread::sleep_for(20ms);
-  // ...then a 200ms-budget request must pull the batch forward and execute.
+  // ...then a 200ms-budget request must execute within its budget.
   auto tight = batcher.submit(images[1], within(200ms));
   EXPECT_EQ(tight.get().numel(), kClasses);
-  EXPECT_EQ(slow.get().numel(), kClasses);  // swept into the same EDF batch
+  EXPECT_EQ(slow.get().numel(), kClasses);
   EXPECT_EQ(batcher.stats().shed, 0);
   EXPECT_LT(batcher.stats().batcher.latency.max_ms, 1500.0);
 }
@@ -420,6 +421,115 @@ TEST(DeadlineBatcher, OptionsValidation) {
       std::invalid_argument);
   EXPECT_THROW(DeadlineBatcher(*compiled, {.queue_capacity = -2}),
                std::invalid_argument);
+}
+
+// ---- DeadlineBatcher: work-conserving dispatch ------------------------------
+
+/// Test-side gate in front of a model: forward blocks while the test holds
+/// `mu`, then records the batch it was given (rows in batch order).
+struct Gate {
+  std::mutex mu;
+  std::mutex seen_mu;
+  std::vector<Tensor> seen;
+};
+
+class GateLayer : public nn::Layer {
+ public:
+  explicit GateLayer(std::shared_ptr<Gate> gate) : gate_(std::move(gate)) {}
+  Tensor forward(const Tensor& input, bool /*training*/) override {
+    { const std::lock_guard<std::mutex> pass(gate_->mu); }
+    const std::lock_guard<std::mutex> lock(gate_->seen_mu);
+    gate_->seen.push_back(input.clone());
+    return input;
+  }
+  Tensor backward(const Tensor& doutput) override { return doutput; }
+  std::unique_ptr<nn::Layer> clone() const override {
+    return std::make_unique<GateLayer>(gate_);
+  }
+  Shape output_shape(const Shape& input) const override { return input; }
+  std::string name() const override { return "Gate"; }
+
+ private:
+  std::shared_ptr<Gate> gate_;
+};
+
+/// make_compiled's plan behind a GateLayer; `gate->seen` starts empty.
+std::unique_ptr<serve::CompiledModel> make_gated(uint64_t seed,
+                                                 std::shared_ptr<Gate> gate) {
+  auto model = std::make_unique<nn::Sequential>();
+  model->emplace<GateLayer>(gate);
+  auto body = make_scc_model(seed);
+  for (size_t i = 0; i < body->size(); ++i) {
+    model->add(body->layer(i).clone());
+  }
+  auto compiled = std::make_unique<serve::CompiledModel>(
+      std::move(model), Shape{3, kImage, kImage},
+      serve::CompileOptions{.max_batch = 4});
+  gate->seen.clear();  // compile-time dry runs
+  return compiled;
+}
+
+TEST(DeadlineBatcher, LoneRequestOnIdleWorkerIsDispatchedWithoutHold) {
+  // A free worker batches whatever is queued at once: max_delay is the
+  // anti-starvation age, not a hold, so a lone request never waits for a
+  // batch that would not fill.
+  auto compiled = make_compiled(201);
+  DeadlineBatcher batcher(
+      *compiled,
+      {.max_batch = 4, .max_delay = std::chrono::microseconds(2'000'000)});
+  const auto images = make_images(1, 202);
+  const auto t0 = std::chrono::steady_clock::now();
+  auto f = batcher.submit(images[0]);
+  ASSERT_EQ(f.wait_for(10s), std::future_status::ready);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, 1s);
+  EXPECT_EQ(f.get().numel(), kClasses);
+  const DeadlineBatcherStats stats = batcher.stats();
+  EXPECT_EQ(stats.batcher.batches, 1);
+  EXPECT_EQ(stats.batcher.requests, 1);
+}
+
+TEST(DeadlineBatcher, ArrivalsDuringABatchLeaveTogetherInEdfOrder) {
+  auto gate = std::make_shared<Gate>();
+  auto compiled = make_gated(211, gate);
+  DeadlineBatcher batcher(*compiled, {.max_batch = 4});
+  const auto images = make_images(4, 212);
+
+  std::unique_lock<std::mutex> closed(gate->mu);
+  auto first = batcher.submit(images[0]);
+  // The worker takes the lone request at once and blocks in the gate.
+  const auto give_up = std::chrono::steady_clock::now() + 10s;
+  while (batcher.stats().queue_depth != 0 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_EQ(batcher.stats().queue_depth, 0);
+  // Three arrivals while that batch executes, in reverse deadline order.
+  const auto now = std::chrono::steady_clock::now();
+  std::vector<std::future<Tensor>> later;
+  for (int i = 1; i <= 3; ++i) {
+    later.push_back(batcher.submit(images[static_cast<size_t>(i)],
+                                   {.deadline = now + std::chrono::seconds(
+                                                          30 - i)}));
+  }
+  EXPECT_EQ(batcher.stats().queue_depth, 3);
+  closed.unlock();
+
+  EXPECT_EQ(first.get().numel(), kClasses);
+  for (auto& f : later) EXPECT_EQ(f.get().numel(), kClasses);
+  EXPECT_EQ(batcher.stats().batcher.batches, 2);
+  const std::lock_guard<std::mutex> lock(gate->seen_mu);
+  ASSERT_EQ(gate->seen.size(), 2u);
+  const Tensor& batch = gate->seen[1];
+  ASSERT_EQ(batch.shape()[0], 3);
+  // EDF order: the last submitted has the earliest deadline.
+  const int64_t floats = images[0].numel();
+  for (int64_t row = 0; row < 3; ++row) {
+    const Tensor& expect = images[static_cast<size_t>(3 - row)];
+    EXPECT_EQ(std::memcmp(batch.data() + row * floats, expect.data(),
+                          static_cast<size_t>(floats) * sizeof(float)),
+              0)
+        << "row " << row;
+  }
 }
 
 // ---- Router ----------------------------------------------------------------
