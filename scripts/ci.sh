@@ -20,6 +20,8 @@
 #                                then build Debug + TSan in build-tsan/ and
 #                                run the obs string-interning and exemplar
 #                                seqlock suites (Intern.*, ExemplarSeqlock.*),
+#                                the flight window over the exported latency
+#                                series (Flight.Window*, adaptive/armed),
 #                                the thread-pool suites (ThreadPool.*:
 #                                concurrent submitters + nested-launch
 #                                errors; PoolAccounting.*), inline launches
@@ -337,9 +339,11 @@ if [[ "${SANITIZE}" == "1" ]]; then
   # tier runs only the obs primitives whose thread-safety must hold to the
   # letter: obs::intern() (concurrent span recorders dereference its
   # pointers forever), the exemplar seqlock (atomic payloads ordered by
-  # fences - a plain-field version was a real data race), the thread pool's
-  # own launch exclusion, and its busy/idle accounting (relaxed counters
-  # read by concurrent pool_stats() snapshotters while workers accumulate).
+  # fences - a plain-field version was a real data race), the flight
+  # window (it reads the latency cells serving threads write), the thread
+  # pool's own launch exclusion, and its busy/idle accounting (relaxed
+  # counters read by concurrent pool_stats() snapshotters while workers
+  # accumulate).
   echo "== configure (TSan Debug) =="
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Debug -DDSX_SANITIZE_THREAD=ON
 
@@ -349,6 +353,13 @@ if [[ "${SANITIZE}" == "1" ]]; then
 
   echo "== obs intern + exemplar-seqlock tests (TSan) =="
   ./build-tsan/test_obs --gtest_filter='Intern.*:ExemplarSeqlock.*'
+
+  echo "== flight window over the exported latency series (TSan) =="
+  # The adaptive/armed thresholds are derived from the
+  # dsx_serve_request_latency_us cells every replica's worker records into.
+  # These tests emit no trace-ring events (torn ring reads are by design);
+  # WindowRefreshRacesRecordingThreads races recorders against refreshes.
+  ./build-tsan/test_obs --gtest_filter='Flight.AdaptiveThresholdTracksTheWindowedP99:Flight.ArmedCooldown*:Flight.Window*'
 
   echo "== thread-pool exclusion + accounting tests (TSan) =="
   # The pool owns its exclusion: concurrent submitters, nested launches

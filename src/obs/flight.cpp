@@ -69,24 +69,6 @@ GlobalFlight& global_flight() {
   return *g;
 }
 
-std::string json_escape(const char* s) {
-  std::string out;
-  for (const char* p = s; *p != '\0'; ++p) {
-    const char c = *p;
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 namespace detail {
@@ -124,8 +106,20 @@ const char* verdict_name(Verdict v) {
 
 // ---- ModelState ------------------------------------------------------------
 
-void ModelState::observe(int64_t latency_us) {
-  hist_.record(latency_us);
+void ModelState::watch(Histogram latency) {
+  std::lock_guard<std::mutex> lock(refresh_mu_);
+  if (std::find(watched_.begin(), watched_.end(), latency) == watched_.end()) {
+    watched_.push_back(latency);
+  }
+}
+
+device::LogHistogram::BucketSnapshot ModelState::merged_locked() const {
+  device::LogHistogram::BucketSnapshot merged;
+  for (const Histogram& h : watched_) merged.merge(h.bucket_snapshot());
+  return merged;
+}
+
+void ModelState::observe() {
   const int64_t n = observed_.fetch_add(1, std::memory_order_relaxed) + 1;
   // Refresh the windowed thresholds periodically (plus one early refresh at
   // kMinWindow so a fresh model gets adaptive coverage before the first
@@ -133,7 +127,10 @@ void ModelState::observe(int64_t latency_us) {
   if (n % kRefreshEvery != 0 && n != kMinWindow) return;
   std::unique_lock<std::mutex> lock(refresh_mu_, std::try_to_lock);
   if (!lock.owns_lock()) return;  // another observer is refreshing
-  const device::LogHistogram::BucketSnapshot now = hist_.bucket_snapshot();
+  // The window is the exported series itself: every replica's cell,
+  // merged bucket-wise - what a scrape of dsx_serve_request_latency_us
+  // {model} would aggregate.
+  const device::LogHistogram::BucketSnapshot now = merged_locked();
   const device::LogHistogram::Snapshot win =
       device::LogHistogram::delta_snapshot(now, window_base_);
   if (win.count < kMinWindow) return;  // window too thin for a verdict
@@ -190,10 +187,11 @@ void ModelState::reset_for_test() {
     topk_.clear();
   }
   {
+    // The series are cumulative and never reset: the window restarts from
+    // their current counts.
     std::lock_guard<std::mutex> lock(refresh_mu_);
-    window_base_ = device::LogHistogram::BucketSnapshot{};
+    window_base_ = merged_locked();
   }
-  hist_.reset();
   observed_.store(0, std::memory_order_relaxed);
   adaptive_us_.store(0, std::memory_order_relaxed);
   armed_floor_us_.store(0, std::memory_order_relaxed);
@@ -218,6 +216,52 @@ uint64_t next_flight_trace_id() {
   return kFlightIdBase + next.fetch_add(1, std::memory_order_relaxed);
 }
 
+std::vector<Span> request_spans(int64_t enq_ns, int64_t queue_end_ns,
+                                const std::vector<LayerRecord>* layers,
+                                int64_t run_start_ns, int64_t run_end_ns,
+                                int64_t done_ns) {
+  std::vector<Span> spans;
+  spans.reserve(layers != nullptr ? 5 + layers->size() : 1);
+  const auto push = [&](const char* name, int64_t start, int64_t end) {
+    spans.push_back({name, "serve", start, std::max<int64_t>(0, end - start)});
+  };
+  if (layers == nullptr) {
+    push("queue_wait", enq_ns, queue_end_ns);
+    return spans;
+  }
+  // The request span IS the latency sample: it partitions [submit, reply]
+  // into queue_wait / batch_assemble / batch_execute (+ layers) / reply.
+  // Batch-shared spans repeat on each member's track - a micro-batch
+  // executes once for all of them.
+  push("request", enq_ns, done_ns);
+  push("queue_wait", enq_ns, queue_end_ns);
+  push("batch_assemble", queue_end_ns, run_start_ns);
+  push("batch_execute", run_start_ns, run_end_ns);
+  for (const LayerRecord& layer : *layers) {
+    spans.push_back({layer.name, "layer", layer.start_ns, layer.dur_ns});
+  }
+  push("reply", run_end_ns, done_ns);
+  return spans;
+}
+
+void emit(const Capture& cap) {
+  for (const Span& span : cap.spans) {
+    TraceEvent ev;
+    ev.name = span.name;
+    ev.cat = span.cat;
+    ev.tid = cap.trace_id;
+    ev.start_ns = span.start_ns;
+    ev.dur_ns = span.dur_ns;
+    ev.arg_name = "latency_us";
+    ev.arg_value = cap.latency_us;
+    if (cap.model[0] != '\0') {
+      ev.sarg_name = "model";
+      ev.sarg_value = cap.model;
+    }
+    record_event(ev);
+  }
+}
+
 uint64_t promote(ModelState* st, Capture cap) {
   if (cap.trace_id == 0) cap.trace_id = next_flight_trace_id();
   cap.ts_ns = now_ns();
@@ -225,27 +269,8 @@ uint64_t promote(ModelState* st, Capture cap) {
                     std::chrono::system_clock::now().time_since_epoch())
                     .count();
   if (st != nullptr && cap.model[0] == '\0') cap.model = st->name();
-  // Emit the spans into the trace rings under the capture's id, so GET
-  // /trace (and Perfetto) resolve the same id the exemplar carries - unless
-  // the head-sampled trace path already emitted this timeline (then a
-  // second emission would duplicate every event under the same id).
-  if (!cap.spans_traced) {
-    for (const Span& span : cap.spans) {
-      TraceEvent ev;
-      ev.name = span.name;
-      ev.cat = span.cat;
-      ev.tid = cap.trace_id;
-      ev.start_ns = span.start_ns;
-      ev.dur_ns = span.dur_ns;
-      ev.arg_name = "latency_us";
-      ev.arg_value = cap.latency_us;
-      if (cap.model[0] != '\0') {
-        ev.sarg_name = "model";
-        ev.sarg_value = cap.model;
-      }
-      record_event(ev);
-    }
-  }
+  // Under the capture's id, so /trace resolves the id the exemplar carries.
+  emit(cap);
   if (st != nullptr) st->add_outlier(cap);
   // Per-verdict promotion mix, scrapeable without parsing /outliers.
   // Handles registered once per verdict (promotion rate is low, but the

@@ -1,9 +1,11 @@
 // dsx::obs flight recorder - tail-based trace capture with reply-time
-// verdicts.
+// verdicts, and the one path by which a request's spans reach the trace
+// rings.
 //
-// Head sampling (DSX_TRACE, 1-in-N at submit) decides BEFORE anyone knows a
-// request will be slow, so the p99.9 stragglers that trip the SLO engine are
-// only traced by luck. The flight recorder closes that gap with the
+// Head sampling (DSX_TRACE, 1-in-N) is drawn per request in
+// BatchCore::execute, before the run - so it decides BEFORE anyone knows a
+// request will be slow, and the p99.9 stragglers that trip the SLO engine
+// are only traced by luck. The flight recorder closes that gap with the
 // tail-based idiom production tracing stacks use: every request's spans are
 // observed anyway (timestamps the batch engine already takes, plus the
 // per-layer sink), and at REPLY time - once the outcome is known - a verdict
@@ -11,32 +13,37 @@
 //
 //   kAbsolute   latency >= the absolute threshold (DSX_FLIGHT=<ms>)
 //   kAdaptive   latency above a threshold derived from the model's own
-//               windowed p99 (LogHistogram::delta_snapshot, refreshed
-//               periodically from the flight histogram)
+//               windowed p99 (LogHistogram::delta_snapshot over the
+//               model's exported dsx_serve_request_latency_us series)
 //   kArmed      the SLO engine downgraded the model's health, arming
 //               aggressive capture for a cooldown window: anything above
 //               the windowed p50 promotes until the window closes
 //   kError      the batch threw - every request in it is promoted
 //   kShed       the deadline batcher shed the request before execution
 //
-// A promoted Capture lands in a bounded global retained ring plus a bounded
-// per-model top-K outlier table (GET /outliers), its spans are emitted into
-// the trace rings under a flight trace id (a distinct high range, so ids
-// never collide with head-sampled ones) resolvable via GET /trace, and its
-// latency is attached to the model's latency histogram as an OpenMetrics
-// exemplar. Unpromoted scratch is recycled with zero allocation (the layer
-// scratch is a reused thread_local, spans are materialized only on
-// promotion).
+// One builder and one emitter serve both paths: request_spans() builds a
+// request's timeline (full, or queue_wait only for thrown and shed
+// requests) and emit() writes a capture's spans into the trace rings. A
+// request that is only head-sampled is emitted under its sampled id and
+// never filed; a request with a verdict goes through promote(), which emits
+// it (under its sampled id when it has one, else a flight id from a
+// distinct high range) and files it in a bounded global retained ring plus
+// a bounded per-model top-K outlier table (GET /outliers); its latency is
+// attached to the model's latency histogram as an OpenMetrics exemplar.
+// Either way a request's timeline lands in the rings exactly once.
+// Unpromoted scratch is recycled with zero allocation (the layer scratch is
+// a reused thread_local, spans are materialized only for captured
+// requests).
 //
 // Hot-path contract (the same two hard rules as trace.hpp): with capture off
 // (DSX_FLIGHT=off) every site costs at most ONE relaxed atomic load
 // (flight_enabled()); and the recorder NEVER perturbs float evaluation
 // order - verdicts and spans are computed after the batch ran, from
 // timestamps around the unmodified execution path, so bit-identity suites
-// hold either way. With capture ON, the per-request cost is one histogram
-// record plus a handful of relaxed loads (the judge); promotion-rate work
-// (span materialization, ring/top-K inserts, trace emission) only happens
-// for interesting requests.
+// hold either way. With capture ON, the per-request cost is one relaxed
+// counter RMW (the refresh trigger) plus a handful of relaxed loads (the
+// judge); promotion-rate work (span materialization, ring/top-K inserts,
+// trace emission) only happens for interesting requests.
 #pragma once
 
 #include <atomic>
@@ -47,6 +54,8 @@
 #include <vector>
 
 #include "device/atomic_stats.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace dsx::obs::flight {
 
@@ -89,9 +98,10 @@ struct Span {
   int64_t dur_ns = 0;
 };
 
-/// A promoted request timeline. Spans are materialized only at promotion -
-/// the per-request scratch for UNpromoted requests is timestamps the batch
-/// engine already held plus the reused thread-local layer sink.
+/// A captured request timeline. Spans are materialized only for captured
+/// (sampled or promoted) requests - the per-request scratch for the rest is
+/// timestamps the batch engine already held plus the reused thread-local
+/// layer sink.
 struct Capture {
   const char* model = "";  // interned scope name
   /// The id this capture's spans are emitted under in the trace rings. A
@@ -105,11 +115,6 @@ struct Capture {
   int64_t batch = 0;    // micro-batch size the request rode in (0 = shed)
   int64_t ts_ns = 0;    // promotion time on the obs::now_ns() timeline
   int64_t wall_ms = 0;  // promotion wall time, unix epoch milliseconds
-  /// True when the head-sampled trace path already emitted this request's
-  /// spans into the trace rings under trace_id - promote() then skips its
-  /// own emission (ring/top-K/exemplar filing still happen), so /trace
-  /// never holds the same timeline twice.
-  bool spans_traced = false;
   std::vector<Span> spans;
 };
 
@@ -118,11 +123,13 @@ struct Capture {
 /// never collide in the trace rings.
 inline constexpr uint64_t kFlightIdBase = uint64_t{1} << 62;
 
-/// Per-model verdict state: the model's own latency histogram (microsecond
-/// samples), the windowed thresholds derived from it, and the bounded top-K
-/// outlier table. Instances are registered once per interned scope name and
-/// never freed (like metric cells), so raw pointers stay valid for the
-/// process lifetime. observe()/judge() are safe under concurrent callers.
+/// Per-model verdict state: the windowed thresholds derived from the
+/// model's exported latency series (every watched
+/// dsx_serve_request_latency_us handle of the scope - one per replica
+/// batcher) and the bounded top-K outlier table. Instances are registered
+/// once per interned scope name and never freed (like metric cells), so raw
+/// pointers stay valid for the process lifetime. observe()/judge() are safe
+/// under concurrent callers.
 class ModelState {
  public:
   /// Promotion thresholds refresh every kRefreshEvery observations, once
@@ -135,12 +142,20 @@ class ModelState {
   explicit ModelState(const char* name) : name_(name) {}
   const char* name() const { return name_; }
 
-  /// Records one reply-time latency sample and periodically re-derives the
+  /// Adds one batcher's latency series (microsecond samples) to the window.
+  /// Watching a cell twice is a no-op - a hot-swapped fleet resolves the
+  /// same {model[,replica]} cells again. Control-plane rate (batcher
+  /// construction); blocks on the refresh lock.
+  void watch(Histogram latency);
+
+  /// Counts one answered request (whose latency the caller has already
+  /// recorded into a watched series) and periodically re-derives the
   /// adaptive thresholds from the last window (delta_snapshot between the
-  /// previous refresh's cumulative buckets and now): the adaptive promote
-  /// threshold is 1.5x the windowed p99, the armed floor is the windowed
-  /// p50. A try-lock guards the refresh - observers never block on it.
-  void observe(int64_t latency_us);
+  /// previous refresh's merged cumulative buckets and now): the adaptive
+  /// promote threshold is 1.5x the windowed p99, the armed floor is the
+  /// windowed p50. The refresh reads the watched handles directly (relaxed
+  /// loads, no registry lock) under a try-lock - observers never block.
+  void observe();
 
   /// The reply-time verdict. Relaxed loads only; kNone = not interesting.
   Verdict judge(int64_t latency_us) const;
@@ -163,16 +178,22 @@ class ModelState {
   /// Copy of the outlier table, worst latency first.
   std::vector<Capture> outliers() const;
 
+  /// Clears the outlier table and thresholds; the window restarts from the
+  /// watched series' current counts.
   void reset_for_test();
 
  private:
+  /// Bucket-wise merge of every watched series. Requires refresh_mu_.
+  device::LogHistogram::BucketSnapshot merged_locked() const;
+
   const char* name_;
-  device::LogHistogram hist_;  // microsecond latency samples
   std::atomic<int64_t> observed_{0};
   std::atomic<int64_t> adaptive_us_{0};
   std::atomic<int64_t> armed_floor_us_{0};
   std::atomic<int64_t> armed_until_ns_{0};
-  mutable std::mutex refresh_mu_;  // guards window_base_ (try-lock only)
+  /// Guards watched_ and window_base_ (observers only try-lock it).
+  mutable std::mutex refresh_mu_;
+  std::vector<Histogram> watched_;
   device::LogHistogram::BucketSnapshot window_base_;
   mutable std::mutex topk_mu_;
   std::vector<Capture> topk_;  // sorted by latency_us descending
@@ -186,11 +207,28 @@ ModelState* model_state(const char* name);
 /// Draws the next flight trace id (kFlightIdBase + counter).
 uint64_t next_flight_trace_id();
 
+/// Builds one request's spans from timestamps the batch engine already
+/// holds (obs::now_ns() timeline). `queue_end_ns` closes queue_wait: the
+/// batch's execution start, or the shed instant. With `layers` (the batch
+/// ran to completion) the timeline is full:
+///   request > queue_wait / batch_assemble / batch_execute > <layers> > reply
+/// Without it (thrown batch, shed request) only queue_wait is known.
+std::vector<Span> request_spans(
+    int64_t enq_ns, int64_t queue_end_ns,
+    const std::vector<LayerRecord>* layers = nullptr, int64_t run_start_ns = 0,
+    int64_t run_end_ns = 0, int64_t done_ns = 0);
+
+/// The one emitter: writes `cap`'s spans into the trace rings on the
+/// request track tid = cap.trace_id (args: latency_us, model), so GET
+/// /trace and Perfetto resolve the id. A head-sampled request without a
+/// verdict is emitted only; promote() emits and files.
+void emit(const Capture& cap);
+
 /// Promotes a capture: assigns a flight trace id when the request was not
-/// head-sampled, stamps promotion times, emits the spans into the trace
-/// rings under that id (so it resolves in /trace), appends to the bounded
-/// global retained ring and to `st`'s top-K table. Returns the trace id the
-/// capture was filed under. Promotion-rate work - never on the hot path.
+/// head-sampled, stamps promotion times, emits the spans (emit()) under
+/// that id, appends to the bounded global retained ring and to `st`'s
+/// top-K table. Returns the trace id the capture was filed under.
+/// Promotion-rate work - never on the hot path.
 uint64_t promote(ModelState* st, Capture cap);
 
 /// Arms `model` for `cooldown` (journal: EventKind::kFlight). The SLO

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <utility>
 
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace dsx::obs {
@@ -49,30 +50,6 @@ const char* event_kind_name(EventKind kind) {
   }
   return "?";
 }
-
-namespace {
-
-std::string json_escape(const std::string& v) {
-  std::string out;
-  out.reserve(v.size());
-  for (char c : v) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (c == '\n') {
-      out += "\\n";
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 Journal& Journal::global() {
   static Journal* journal = [] {

@@ -42,40 +42,6 @@ std::string escape_label(const std::string& v) {
   return out;
 }
 
-/// JSON string escaping (control chars, quote, backslash).
-std::string escape_json(const std::string& v) {
-  std::string out;
-  out.reserve(v.size());
-  for (char c : v) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
 /// `{k="v",...}` with an optional extra label prepended (quantile="0.5").
 std::string label_block(const Labels& labels, const std::string& extra = "") {
   if (labels.empty() && extra.empty()) return "";
@@ -129,6 +95,39 @@ bool labels_contain(const Labels& cell_labels, const Labels& match) {
 }
 
 }  // namespace
+
+std::string json_escape(std::string_view v) {
+  std::string out;
+  out.reserve(v.size());
+  for (char c : v) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  return out;
+}
 
 // ---- Histogram exemplars ---------------------------------------------------
 
@@ -353,13 +352,13 @@ std::string Registry::json_snapshot() const {
   for (const auto& [key, cell] : cells_) {
     if (!first) out << ",";
     first = false;
-    out << "{\"name\":\"" << escape_json(cell->name) << "\",\"type\":\""
+    out << "{\"name\":\"" << json_escape(cell->name) << "\",\"type\":\""
         << type_name(cell->type) << "\",\"labels\":{";
     bool lfirst = true;
     for (const auto& [k, v] : cell->labels) {
       if (!lfirst) out << ",";
       lfirst = false;
-      out << "\"" << escape_json(k) << "\":\"" << escape_json(v) << "\"";
+      out << "\"" << json_escape(k) << "\":\"" << json_escape(v) << "\"";
     }
     out << "}";
     switch (cell->type) {

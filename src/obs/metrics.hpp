@@ -30,6 +30,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -38,6 +39,10 @@
 namespace dsx::obs {
 
 enum class MetricType { kCounter, kGauge, kHistogram };
+
+/// `v` as the body of a JSON string literal: quote, backslash and control
+/// characters escaped. The one escaper every obs JSON export uses.
+std::string json_escape(std::string_view v);
 
 /// Label set as key/value pairs; the registry sorts them by key, so any
 /// order identifies the same series.
@@ -153,6 +158,8 @@ class Histogram {
   /// Valid exemplars currently held, unordered. Torn slots are skipped.
   std::vector<Exemplar> exemplars() const;
   bool attached() const { return cell_ != nullptr; }
+  /// Same cell (or both detached).
+  bool operator==(const Histogram&) const = default;
 
  private:
   friend class Registry;

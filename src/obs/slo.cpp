@@ -19,29 +19,6 @@ std::string fmt(double v) {
   return buf;
 }
 
-std::string json_escape(const std::string& v) {
-  std::string out;
-  out.reserve(v.size());
-  for (char c : v) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
 std::string window_text(const char* tag, const WindowDelta& w) {
   std::ostringstream os;
   os << tag << "[burn=" << fmt(w.burn_rate) << " p99=" << fmt(w.p99_ms)

@@ -70,24 +70,6 @@ int sampling_from_env() {
   return static_cast<int>(n);
 }
 
-std::string escape_json(const char* s) {
-  std::string out;
-  for (const char* p = s; *p != '\0'; ++p) {
-    const char c = *p;
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 namespace detail {
@@ -228,9 +210,9 @@ std::string chrome_trace_json() {
   }
   char buf[64];
   for (const TraceEvent& ev : events) {
-    std::string line = "{\"ph\":\"X\",\"name\":\"" + escape_json(ev.name) +
+    std::string line = "{\"ph\":\"X\",\"name\":\"" + json_escape(ev.name) +
                        "\",\"cat\":\"" +
-                       escape_json(ev.cat[0] != '\0' ? ev.cat : "dsx") +
+                       json_escape(ev.cat[0] != '\0' ? ev.cat : "dsx") +
                        "\",\"pid\":" + std::to_string(ev.pid) +
                        ",\"tid\":" + std::to_string(ev.tid);
     std::snprintf(buf, sizeof(buf), ",\"ts\":%.3f,\"dur\":%.3f",
@@ -240,13 +222,13 @@ std::string chrome_trace_json() {
     if (ev.arg_name != nullptr || ev.sarg_name != nullptr) {
       line += ",\"args\":{";
       if (ev.arg_name != nullptr) {
-        line += "\"" + escape_json(ev.arg_name) +
+        line += "\"" + json_escape(ev.arg_name) +
                 "\":" + std::to_string(ev.arg_value);
       }
       if (ev.sarg_name != nullptr) {
         if (ev.arg_name != nullptr) line += ",";
-        line += "\"" + escape_json(ev.sarg_name) + "\":\"" +
-                escape_json(ev.sarg_value != nullptr ? ev.sarg_value : "") +
+        line += "\"" + json_escape(ev.sarg_name) + "\":\"" +
+                json_escape(ev.sarg_value != nullptr ? ev.sarg_value : "") +
                 "\"";
       }
       line += "}";

@@ -2,15 +2,19 @@
 // exported as Chrome trace-event JSON (loadable in Perfetto / chrome://tracing).
 //
 // Answering "where did this request's 40 ms go?" needs a timeline, not a
-// histogram. A sampled request (DSX_TRACE=N -> 1-in-N; off by default)
-// carries a nonzero trace id on serve::Request; the batch engine emits its
-// lifecycle as complete ("X") events onto a synthetic per-request track
-// (pid = kRequestPid, tid = trace id):
+// histogram. Head sampling (DSX_TRACE=N -> 1-in-N; off by default) is
+// drawn per request in serve::BatchCore::execute, before the batch runs -
+// submit never touches obs. A request's lifecycle reaches the rings through
+// ONE emitter, flight::emit (obs/flight.hpp), shared by head-sampled and
+// flight-promoted requests, so a request that is both lands once, under its
+// sampled id. Its spans are complete ("X") events on a synthetic
+// per-request track (pid = kRequestPid, tid = trace id; every span carries
+// args latency_us and model):
 //
 //   request                 submit -> reply          (the latency sample)
 //     queue_wait            submit -> batch formation
 //     batch_assemble        micro-batch tensor assembly
-//     batch_execute         CompiledModel::run       (args: batch size)
+//     batch_execute         CompiledModel::run
 //       <layer name>        one event per plan layer (ScopedLayerSink)
 //     reply                 output split + promise fulfillment
 //
@@ -136,7 +140,8 @@ extern thread_local std::vector<LayerRecord>* tl_layer_sink;
 inline std::vector<LayerRecord>* layer_sink() { return detail::tl_layer_sink; }
 
 /// RAII installer: the batch engine scopes a sink around CompiledModel::run
-/// for traced batches, so only sampled requests pay for per-layer timing.
+/// only for batches with a head-sampled request or with flight capture on,
+/// so other batches never pay for per-layer timing.
 class ScopedLayerSink {
  public:
   explicit ScopedLayerSink(std::vector<LayerRecord>* sink)

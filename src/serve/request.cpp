@@ -1,6 +1,5 @@
 #include "serve/request.hpp"
 
-#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -12,29 +11,6 @@
 namespace dsx::serve {
 
 namespace {
-
-/// Builds the span list of a promoted capture from the same timestamps the
-/// trace path uses - materialized only at promotion rate.
-std::vector<obs::flight::Span> make_capture_spans(
-    int64_t enq_ns, int64_t exec_start_ns, int64_t run_start_ns,
-    int64_t run_end_ns, int64_t done_ns,
-    const std::vector<obs::LayerRecord>& layers) {
-  std::vector<obs::flight::Span> spans;
-  spans.reserve(5 + layers.size());
-  const auto push = [&](const char* name, const char* cat, int64_t start,
-                        int64_t end) {
-    spans.push_back({name, cat, start, std::max<int64_t>(0, end - start)});
-  };
-  push("request", "serve", enq_ns, done_ns);
-  push("queue_wait", "serve", enq_ns, exec_start_ns);
-  push("batch_assemble", "serve", exec_start_ns, run_start_ns);
-  push("batch_execute", "serve", run_start_ns, run_end_ns);
-  for (const obs::LayerRecord& layer : layers) {
-    spans.push_back({layer.name, "layer", layer.start_ns, layer.dur_ns});
-  }
-  push("reply", "serve", run_end_ns, done_ns);
-  return spans;
-}
 
 /// The threshold that tripped, for the /outliers row (0 when the verdict
 /// has no threshold - error/shed).
@@ -73,9 +49,6 @@ Request make_request(const CompiledModel& model, const Tensor& image) {
   Request req;
   req.image = std::move(normalized);  // shallow: shares the caller's storage
   req.enqueued = std::chrono::steady_clock::now();
-  // Tracing off = exactly one relaxed load (trace_enabled); the sampling
-  // counter is only touched once tracing is on.
-  if (obs::trace_enabled()) req.trace_id = obs::sample_trace_id();
   return req;
 }
 
@@ -111,6 +84,7 @@ BatcherMetricSet make_batcher_metrics(const std::string& model, int replica) {
       "Executed batch size as a percentage of max_batch.");
   m.scope = obs::intern(model);
   m.flight = obs::flight::model_state(m.scope);
+  m.flight->watch(m.latency);
   return m;
 }
 
@@ -134,32 +108,44 @@ void validate_batching_limits(const char* what, int64_t max_batch,
 }
 
 BatchCore::BatchCore(CompiledModel& model, BatcherMetricSet metrics)
-    : model_(model),
-      metrics_(std::move(metrics)),
-      start_(std::chrono::steady_clock::now()) {}
+    : model_(model), start_(std::chrono::steady_clock::now()) {
+  rescope(std::move(metrics));
+}
+
+void BatchCore::rescope(BatcherMetricSet metrics) {
+  // deque::push_back never moves existing elements: references handed out
+  // by metrics() stay valid.
+  scopes_.push_back(std::move(metrics));
+  metrics_.store(&scopes_.back(), std::memory_order_release);
+}
 
 void BatchCore::execute(std::deque<Request>& batch) {
   const int64_t n = static_cast<int64_t>(batch.size());
   if (n == 0) return;
-  // Tracing off = one relaxed load; only then is the batch scanned for a
-  // sampled request. Traced batches time the run and collect per-layer
-  // records - observation only, the execution path itself is unchanged, so
-  // per-image outputs stay bit-identical either way.
+  BatcherMetricSet& m = metrics();  // one scope per batch
+  // Head sampling: tracing off = one relaxed load; on, one draw per request,
+  // before the run, so the layer sink below is installed only when a
+  // request is sampled. The ids live in a reused per-worker scratch (valid
+  // only while `traced`).
+  static thread_local std::vector<uint64_t> sampled;
   bool traced = false;
   if (obs::trace_enabled()) {
-    for (const Request& req : batch) {
-      if (req.trace_id != 0) {
-        traced = true;
-        break;
-      }
+    sampled.resize(static_cast<size_t>(n));
+    for (uint64_t& id : sampled) {
+      id = obs::sample_trace_id();
+      traced = traced || id != 0;
     }
   }
   // Flight recorder off = the same single relaxed load; on, a scoped batcher
   // observes every request and judges it at reply time (tail-based capture -
   // see obs/flight.hpp). Unscoped batchers (flight == nullptr) never pay.
-  const bool flight_on =
-      obs::flight::flight_enabled() && metrics_.flight != nullptr;
+  // Either way the capture is observation only: the execution path is
+  // unchanged, so per-image outputs stay bit-identical.
+  obs::flight::ModelState* const st = m.flight;
+  const bool flight_on = obs::flight::flight_enabled() && st != nullptr;
+  const auto trace_id_of = [&](size_t i) { return traced ? sampled[i] : 0; };
   const auto exec_start = std::chrono::steady_clock::now();
+  const int64_t exec_start_ns = obs::steady_ns(exec_start);
   try {
     // Assemble the micro-batch. Per-image results are bit-identical to
     // batch-1 execution: every kernel in the plan processes images
@@ -176,8 +162,8 @@ void BatchCore::execute(std::deque<Request>& batch) {
     int64_t run_start_ns = 0;
     int64_t run_end_ns = 0;
     // Per-batch layer scratch, reused across batches on this worker thread:
-    // unpromoted flight captures recycle it with zero allocation once its
-    // capacity has grown to the plan's layer count.
+    // uncaptured requests recycle it with zero allocation once its capacity
+    // has grown to the plan's layer count.
     static thread_local std::vector<obs::LayerRecord> layer_scratch;
     layer_scratch.clear();
     if (traced || flight_on) {
@@ -188,7 +174,6 @@ void BatchCore::execute(std::deque<Request>& batch) {
     } else {
       out = model_.run(images);
     }
-    const std::vector<obs::LayerRecord>& layers = layer_scratch;
 
     // Split [n, ...] into per-request [1, ...] answers.
     Shape row_shape = out.shape();
@@ -201,51 +186,50 @@ void BatchCore::execute(std::deque<Request>& batch) {
     // Publish stats before fulfilling any promise: a client that wakes on
     // its future and immediately reads stats() must already see this batch.
     const auto now = std::chrono::steady_clock::now();
-    for (const Request& req : batch) {
+    for (size_t i = 0; i < batch.size(); ++i) {
+      const Request& req = batch[i];
       const int64_t ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                              now - req.enqueued)
                              .count();
+      const int64_t latency_us = ns / 1000;
       latency_.record_ns(ns);
-      metrics_.latency.record(ns / 1000);
-      metrics_.queue_wait.record(
+      m.latency.record(latency_us);
+      m.queue_wait.record(
           std::chrono::duration_cast<std::chrono::microseconds>(exec_start -
                                                                 req.enqueued)
               .count());
+      // Reply-time verdict: the outcome is known now, so a slow straggler
+      // promotes its capture even though nothing head-sampled it. The
+      // window it is judged against is the series recorded just above.
+      obs::flight::Verdict verdict = obs::flight::Verdict::kNone;
       if (flight_on) {
-        // Reply-time verdict: the outcome is known now, so a slow straggler
-        // promotes its capture even though nothing head-sampled it.
-        const int64_t latency_us = ns / 1000;
-        obs::flight::ModelState* st = metrics_.flight;
-        st->observe(latency_us);
-        const obs::flight::Verdict verdict = st->judge(latency_us);
-        if (verdict != obs::flight::Verdict::kNone) {
-          obs::flight::Capture cap;
-          cap.model = metrics_.scope;
-          cap.trace_id = req.trace_id;  // 0 = promote draws a flight id
-          // Head-sampled requests get their spans from emit_request_traces
-          // below; promote() must not emit them a second time.
-          cap.spans_traced = traced && req.trace_id != 0;
-          cap.latency_us = latency_us;
-          cap.threshold_us = verdict_threshold_us(verdict, *st);
-          cap.verdict = verdict;
-          cap.batch = n;
-          cap.spans = make_capture_spans(
-              obs::steady_ns(req.enqueued), obs::steady_ns(exec_start),
-              run_start_ns, run_end_ns, obs::steady_ns(now), layers);
-          const uint64_t id = obs::flight::promote(st, std::move(cap));
-          metrics_.latency.record_exemplar(latency_us, id);
-        }
+        st->observe();
+        verdict = st->judge(latency_us);
       }
+      const uint64_t trace_id = trace_id_of(i);
+      if (verdict == obs::flight::Verdict::kNone && trace_id == 0) continue;
+      obs::flight::Capture cap;
+      cap.model = m.scope;
+      cap.trace_id = trace_id;  // 0 = promote draws a flight id
+      cap.latency_us = latency_us;
+      cap.batch = n;
+      cap.spans = obs::flight::request_spans(
+          obs::steady_ns(req.enqueued), exec_start_ns, &layer_scratch,
+          run_start_ns, run_end_ns, obs::steady_ns(now));
+      if (verdict == obs::flight::Verdict::kNone) {
+        obs::flight::emit(cap);  // sampled only: traced, not an outlier
+        continue;
+      }
+      cap.verdict = verdict;
+      cap.threshold_us = verdict_threshold_us(verdict, *st);
+      const uint64_t id = obs::flight::promote(st, std::move(cap));
+      m.latency.record_exemplar(latency_us, id);
     }
     answered_.fetch_add(n, std::memory_order_relaxed);
     batches_.fetch_add(1, std::memory_order_relaxed);
-    metrics_.requests.inc(n);
-    metrics_.batches.inc();
-    metrics_.batch_size.record(n);
-    if (traced) {
-      emit_request_traces(batch, n, exec_start, run_start_ns, run_end_ns, now,
-                          layers);
-    }
+    m.requests.inc(n);
+    m.batches.inc();
+    m.batch_size.record(n);
     for (int64_t i = 0; i < n; ++i) {
       Tensor row{Shape(dims)};
       std::memcpy(row.data(), out.data() + i * row_floats,
@@ -256,87 +240,42 @@ void BatchCore::execute(std::deque<Request>& batch) {
     const std::exception_ptr err = std::current_exception();
     answered_.fetch_add(n, std::memory_order_relaxed);
     batches_.fetch_add(1, std::memory_order_relaxed);
-    metrics_.requests.inc(n);
-    metrics_.batches.inc();
-    if (flight_on) {
-      // The batch threw: the requests in it are interesting (kError). Only
-      // the queue_wait span is reconstructible - the run never finished.
-      // Bound the promotion work per failed batch like the shed path does:
+    m.requests.inc(n);
+    m.batches.inc();
+    if (flight_on || traced) {
+      // The batch threw: only the queue_wait span is reconstructible - the
+      // run never finished. Every request in it is interesting (kError), but
+      // the promotion work per failed batch is bounded like the shed path's:
       // a persistently throwing model at full batch size must not churn the
       // retained ring at request rate, and four captures tell the story.
+      // Sampled requests past that bound are still emitted.
       const auto now = std::chrono::steady_clock::now();
-      const int64_t exec_start_ns = obs::steady_ns(exec_start);
       size_t promoted = 0;
-      for (const Request& req : batch) {
-        if (promoted++ >= 4) break;
+      for (size_t i = 0; i < batch.size(); ++i) {
+        const bool file = flight_on && promoted < 4;
         obs::flight::Capture cap;
-        cap.model = metrics_.scope;
-        cap.trace_id = req.trace_id;
+        cap.trace_id = trace_id_of(i);
+        if (!file && cap.trace_id == 0) continue;
+        const Request& req = batch[i];
+        cap.model = m.scope;
         cap.latency_us = std::chrono::duration_cast<std::chrono::microseconds>(
                              now - req.enqueued)
                              .count();
-        cap.verdict = obs::flight::Verdict::kError;
         cap.batch = n;
-        const int64_t enq_ns = obs::steady_ns(req.enqueued);
-        cap.spans.push_back({"queue_wait", "serve", enq_ns,
-                             std::max<int64_t>(0, exec_start_ns - enq_ns)});
-        obs::flight::promote(metrics_.flight, std::move(cap));
+        cap.spans = obs::flight::request_spans(obs::steady_ns(req.enqueued),
+                                               exec_start_ns);
+        if (file) {
+          ++promoted;
+          cap.verdict = obs::flight::Verdict::kError;
+          obs::flight::promote(st, std::move(cap));
+        } else {
+          obs::flight::emit(cap);
+        }
       }
     }
     for (Request& req : batch) {
       req.promise.set_exception(err);
     }
-  }
-}
-
-void BatchCore::emit_request_traces(
-    const std::deque<Request>& batch, int64_t n,
-    std::chrono::steady_clock::time_point exec_start, int64_t run_start_ns,
-    int64_t run_end_ns, std::chrono::steady_clock::time_point done,
-    const std::vector<obs::LayerRecord>& layers) const {
-  // Every span is reconstructed AFTER the batch ran, from timestamps taken
-  // around the unmodified execution path: the synthetic per-request track
-  // (pid=kRequestPid, tid=trace id) partitions [submit, reply] into
-  // queue_wait / batch_assemble / batch_execute (+ per-layer events) /
-  // reply, so the request span's duration IS the latency sample stats()
-  // aggregates. Batch-shared events are duplicated onto each traced
-  // request's track - a micro-batch executes once for all its members.
-  const int64_t exec_start_ns = obs::steady_ns(exec_start);
-  const int64_t done_ns = obs::steady_ns(done);
-  for (const Request& req : batch) {
-    if (req.trace_id == 0) continue;
-    const uint64_t tid = req.trace_id;
-    const int64_t enq_ns = obs::steady_ns(req.enqueued);
-    const auto emit = [&](const char* name, const char* cat, int64_t start,
-                          int64_t end) {
-      obs::TraceEvent ev;
-      ev.name = name;
-      ev.cat = cat;
-      ev.tid = tid;
-      ev.start_ns = start;
-      ev.dur_ns = std::max<int64_t>(0, end - start);
-      ev.arg_name = "batch";
-      ev.arg_value = n;
-      if (metrics_.scope[0] != '\0') {
-        ev.sarg_name = "model";
-        ev.sarg_value = metrics_.scope;
-      }
-      obs::record_event(ev);
-    };
-    emit("request", "serve", enq_ns, done_ns);
-    emit("queue_wait", "serve", enq_ns, exec_start_ns);
-    emit("batch_assemble", "serve", exec_start_ns, run_start_ns);
-    emit("batch_execute", "serve", run_start_ns, run_end_ns);
-    for (const obs::LayerRecord& layer : layers) {
-      obs::TraceEvent ev;
-      ev.name = layer.name;
-      ev.cat = "layer";
-      ev.tid = tid;
-      ev.start_ns = layer.start_ns;
-      ev.dur_ns = layer.dur_ns;
-      obs::record_event(ev);
-    }
-    emit("reply", "serve", run_end_ns, done_ns);
   }
 }
 

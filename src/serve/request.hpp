@@ -19,7 +19,6 @@
 #include "common/check.hpp"
 #include "device/atomic_stats.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "serve/compiled_model.hpp"
 #include "shard/router.hpp"
 
@@ -75,10 +74,6 @@ struct Request {
   Priority priority = Priority::kNormal;
   std::chrono::steady_clock::time_point deadline = kNoDeadline;
   uint64_t seq = 0;  // submission order, the final EDF tie-break
-  /// Per-request trace context: 0 = not sampled, else the obs trace id the
-  /// batch engine emits this request's lifecycle spans under (drawn by
-  /// make_request when DSX_TRACE sampling is on).
-  uint64_t trace_id = 0;
 };
 
 /// EDF ordering key: earliest deadline first, then priority class, then
@@ -160,7 +155,8 @@ struct BatcherMetricSet {
   /// Interned scope name for trace/journal annotations ("" = unscoped).
   const char* scope = "";
   /// Flight-recorder verdict state for this scope (null = unscoped, no
-  /// tail-based capture - mirrors the detached metric handles).
+  /// tail-based capture - mirrors the detached metric handles). Its window
+  /// watches `latency`.
   obs::flight::ModelState* flight = nullptr;
 };
 
@@ -196,29 +192,37 @@ class BatchCore {
 
   CompiledModel& model() { return model_; }
 
+  /// The metric set observations currently go to. References stay valid for
+  /// the core's lifetime (a rescope() installs a new set; the old one is
+  /// kept), so a reader racing a rescope writes the old scope, never a torn
+  /// one.
+  BatcherMetricSet& metrics() {
+    return *metrics_.load(std::memory_order_acquire);
+  }
+  /// Moves every later observation to `metrics` - a fleet installed under
+  /// a new name (a promoted rollout candidate) exports under that name.
+  /// Safe against concurrent execute()/metrics(); callers serialize
+  /// rescope() itself.
+  void rescope(BatcherMetricSet metrics);
+
   /// Assembles `batch` into one [n,...] tensor, runs it through the model
   /// on the calling thread's current pool, splits the output into
   /// per-request [1,...] answers and fulfills every promise. A throwing run
   /// delivers the exception to every request in the batch. Stats are
-  /// published before any promise is fulfilled.
+  /// published before any promise is fulfilled. Head sampling is drawn
+  /// here, per request, before the run; sampled and flight-promoted
+  /// requests' spans are emitted once each (obs/flight.hpp).
   void execute(std::deque<Request>& batch);
 
   BatcherStats stats() const;
 
  private:
-  /// Emits the lifecycle spans of every traced request in `batch` onto its
-  /// per-request track (called only for batches that contain one).
-  void emit_request_traces(
-      const std::deque<Request>& batch, int64_t n,
-      std::chrono::steady_clock::time_point exec_start, int64_t run_start_ns,
-      int64_t run_end_ns, std::chrono::steady_clock::time_point done,
-      const std::vector<obs::LayerRecord>& layers) const;
-
   CompiledModel& model_;
   std::atomic<int64_t> answered_{0};
   std::atomic<int64_t> batches_{0};
   device::LatencyStats latency_;
-  BatcherMetricSet metrics_;
+  std::deque<BatcherMetricSet> scopes_;  // every set installed, oldest first
+  std::atomic<BatcherMetricSet*> metrics_;  // scopes_.back()
   std::chrono::steady_clock::time_point start_;
 };
 

@@ -203,10 +203,13 @@ SwapReport InferenceServer::swap_model_with(const std::string& name,
                 "swap_model_with: no model named '" << name << "'");
     // The donor fleet moves as-is - batcher, queue and stats survive the
     // rename, so requests accepted under the donor name are answered
-    // untouched and the candidate's observed history carries over.
+    // untouched and the candidate's observed history carries over. Its
+    // series move with it: from here it observes as {model=name}, so the
+    // live name's health, SLO and flight state judge the traffic it serves.
     displaced = std::move(name_it->second);
     name_it->second = std::move(donor_it->second);
     models_.erase(donor_it);
+    name_it->second->rescope(name);
   }
   const SwapReport report = drain(*displaced);
   obs::Journal::global().record(obs::EventKind::kSwap, name,

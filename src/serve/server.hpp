@@ -97,7 +97,8 @@ class InferenceServer {
   /// already-serving fleet is removed from the registry and installed under
   /// `name`, whose displaced fleet is drained. The donor fleet keeps its
   /// batcher, queue and stats across the rename - in-flight donor requests
-  /// are unaffected. Throws if either name is unknown or both are the same.
+  /// are unaffected - and exports its dsx_serve_* series under `name` from
+  /// the swap on. Throws if either name is unknown or both are the same.
   SwapReport swap_model_with(const std::string& name,
                              const std::string& donor);
 

@@ -23,9 +23,8 @@ std::exception_ptr deadline_error() {
 
 DeadlineBatcher::DeadlineBatcher(serve::CompiledModel& model,
                                  DeadlineBatcherOptions opts)
-    : metrics_(serve::make_batcher_metrics(opts.metric_model,
-                                           opts.metric_replica)),
-      core_(model, metrics_),
+    : core_(model, serve::make_batcher_metrics(opts.metric_model,
+                                               opts.metric_replica)),
       max_batch_(0),
       max_delay_(opts.max_delay),
       queue_capacity_(opts.queue_capacity),
@@ -81,10 +80,11 @@ std::future<Tensor> DeadlineBatcher::submit(const Tensor& image,
       if (queue_capacity_ > 0 &&
           static_cast<int64_t>(queue_.size()) >= queue_capacity_) {
         rejected_.fetch_add(1, std::memory_order_relaxed);
-        metrics_.rejected.inc();
-        if (metrics_.rejected.attached()) {
+        serve::BatcherMetricSet& m = core_.metrics();
+        m.rejected.inc();
+        if (m.rejected.attached()) {
           obs::Journal::global().record(
-              obs::EventKind::kReject, metrics_.scope,
+              obs::EventKind::kReject, m.scope,
               "queue at capacity (" + std::to_string(queue_capacity_) + ")");
         }
         throw serve::QueueFull("submit: queue at capacity (" +
@@ -93,7 +93,7 @@ std::future<Tensor> DeadlineBatcher::submit(const Tensor& image,
       req.seq = next_seq_++;
       insert_edf_locked(std::move(req));
       outstanding_.fetch_add(1, std::memory_order_relaxed);
-      metrics_.queue_depth.set(static_cast<int64_t>(queue_.size()));
+      core_.metrics().queue_depth.set(static_cast<int64_t>(queue_.size()));
     }
   }
   if (!expired.empty()) {
@@ -102,12 +102,16 @@ std::future<Tensor> DeadlineBatcher::submit(const Tensor& image,
   }
   if (dead_on_arrival) {
     shed_.fetch_add(1, std::memory_order_relaxed);
-    metrics_.shed.inc();
+    core_.metrics().shed.inc();
     req.promise.set_exception(deadline_error());
     return future;
   }
   cv_.notify_one();  // the worker is the only waiter
   return future;
+}
+
+void DeadlineBatcher::rescope(const std::string& model, int replica) {
+  core_.rescope(serve::make_batcher_metrics(model, replica));
 }
 
 void DeadlineBatcher::insert_edf_locked(serve::Request&& req) {
@@ -155,14 +159,15 @@ void DeadlineBatcher::form_batch_locked(
       insert_edf_locked(std::move(displaced));
     }
   }
-  metrics_.queue_depth.set(static_cast<int64_t>(queue_.size()));
+  serve::BatcherMetricSet& m = core_.metrics();
+  m.queue_depth.set(static_cast<int64_t>(queue_.size()));
   // Saturation distributions, once per formed batch: the backlog this
   // formation left behind, and how full the batch ran. Detached handles make these null-check no-ops for
   // unscoped batchers; attached writes are the usual relaxed atomics.
   if (!batch.empty()) {
-    metrics_.queue_depth_at_batch.record(static_cast<int64_t>(queue_.size()));
-    metrics_.batch_occupancy.record(static_cast<int64_t>(batch.size()) * 100 /
-                                    max_batch_);
+    m.queue_depth_at_batch.record(static_cast<int64_t>(queue_.size()));
+    m.batch_occupancy.record(static_cast<int64_t>(batch.size()) * 100 /
+                             max_batch_);
   }
 }
 
@@ -173,15 +178,16 @@ void DeadlineBatcher::answer(std::deque<serve::Request>& batch,
                     std::memory_order_relaxed);
     outstanding_.fetch_sub(static_cast<int64_t>(shed.size()),
                            std::memory_order_relaxed);
-    metrics_.shed.inc(static_cast<int64_t>(shed.size()));
-    if (metrics_.shed.attached()) {
+    serve::BatcherMetricSet& m = core_.metrics();
+    m.shed.inc(static_cast<int64_t>(shed.size()));
+    if (m.shed.attached()) {
       // One journal entry per shed GROUP - the exact per-request count lives
       // in the counter; the journal records that shedding happened and when.
       obs::Journal::global().record(
-          obs::EventKind::kShed, metrics_.scope,
+          obs::EventKind::kShed, m.scope,
           std::to_string(shed.size()) + " request(s) past deadline");
     }
-    if (obs::flight::flight_enabled() && metrics_.flight != nullptr) {
+    if (obs::flight::flight_enabled() && m.flight != nullptr) {
       // Shed = interesting by definition (the request was never executed).
       // Bound the promotion work per group: a deadline storm sheds hundreds
       // at once, and four captures already tell the story.
@@ -190,14 +196,12 @@ void DeadlineBatcher::answer(std::deque<serve::Request>& batch,
       for (serve::Request& req : shed) {
         if (promoted++ >= 4) break;
         obs::flight::Capture cap;
-        cap.model = metrics_.scope;
-        cap.trace_id = req.trace_id;
+        cap.model = m.scope;
         const int64_t enq_ns = obs::steady_ns(req.enqueued);
         cap.latency_us = std::max<int64_t>(0, (now_ns - enq_ns) / 1000);
         cap.verdict = obs::flight::Verdict::kShed;
-        cap.spans.push_back({"queue_wait", "serve", enq_ns,
-                             std::max<int64_t>(0, now_ns - enq_ns)});
-        obs::flight::promote(metrics_.flight, std::move(cap));
+        cap.spans = obs::flight::request_spans(enq_ns, now_ns);
+        obs::flight::promote(m.flight, std::move(cap));
       }
     }
     const std::exception_ptr err = deadline_error();

@@ -41,6 +41,7 @@
 #include <deque>
 #include <future>
 #include <mutex>
+#include <string>
 #include <thread>
 
 #include "device/thread_pool.hpp"
@@ -134,6 +135,10 @@ class DeadlineBatcher {
   /// thread), joins the worker. Idempotent.
   void stop();
 
+  /// Re-labels every later observation {model=model[,replica]} (see
+  /// serve::BatchCore::rescope). Callers serialize rescope() calls.
+  void rescope(const std::string& model, int replica);
+
   DeadlineBatcherStats stats() const;
 
   /// Waiting + executing request count (Router's load signal). Relaxed.
@@ -157,10 +162,7 @@ class DeadlineBatcher {
   /// queue's total order). Requires mu_ held.
   void insert_edf_locked(serve::Request&& req);
 
-  // metrics_ precedes core_ (declaration order = init order): the core
-  // receives a copy of the handles at construction.
-  serve::BatcherMetricSet metrics_;
-  serve::BatchCore core_;
+  serve::BatchCore core_;  // owns the metric set (core_.metrics())
   int64_t max_batch_;
   std::chrono::microseconds max_delay_;
   int64_t queue_capacity_;

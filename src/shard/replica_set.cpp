@@ -110,6 +110,13 @@ void ReplicaSet::stop() {
   for (Replica& rep : replicas_) rep.batcher->stop();
 }
 
+void ReplicaSet::rescope(const std::string& model) {
+  const bool sharded = replicas_.size() > 1;
+  for (size_t r = 0; r < replicas_.size(); ++r) {
+    replicas_[r].batcher->rescope(model, sharded ? static_cast<int>(r) : -1);
+  }
+}
+
 ShardStats ReplicaSet::stats() const {
   ShardStats s;
   s.replicas = static_cast<int>(replicas_.size());

@@ -87,6 +87,12 @@ class ReplicaSet {
   /// Drains and stops every replica batcher. Idempotent.
   void stop();
 
+  /// Moves every replica batcher's dsx_serve_* series to scope `model`
+  /// (InferenceServer::swap_model_with installs a fleet under a new name).
+  /// Routed counters, lane names and workspace gauges keep the scope the
+  /// fleet was built with. Callers serialize rescope() calls.
+  void rescope(const std::string& model);
+
   ShardStats stats() const;
 
   /// The prototype's compile report (replicas share its plan).

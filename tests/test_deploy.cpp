@@ -18,6 +18,7 @@
 #include "common/check.hpp"
 #include "deploy/deploy.hpp"
 #include "models/mobilenet.hpp"
+#include "obs/metrics.hpp"
 #include "serve/server.hpp"
 #include "tensor/random.hpp"
 #include "tensor/tensor_ops.hpp"
@@ -564,6 +565,40 @@ TEST(Rollout, ShadowCanaryPromoteThenGuardrailRollback) {
   // Exactly-once across the whole ladder: every accepted request produced
   // exactly one reply (each infer() above returned or threw; none threw).
   EXPECT_GT(accepted, 0);
+}
+
+TEST(Rollout, PromotedCandidateExportsUnderTheLiveName) {
+  // After a promote, live traffic must land in the live name's series (and
+  // so in its health, flight state and SLO), not the candidate's staging
+  // alias.
+  ModelStore store(fresh_dir("store_promote_scope"));
+  const ArchSpec spec_v1 = tiny_spec(81);
+  const ArchSpec spec_v2 = tiny_spec(82);
+  {
+    auto v1 = build_architecture(spec_v1);
+    store.save_version("mscope", "v1", *v1, spec_v1);
+    auto v2 = build_architecture(spec_v2);
+    store.save_version("mscope", "v2", *v2, spec_v2);
+  }
+  serve::InferenceServer server;
+  RolloutController rollout(server, store);
+  rollout.deploy("mscope", "v1");
+  rollout.stage("mscope", "v2");
+  rollout.promote("mscope");
+  const auto answered = [](const std::string& model) {
+    return obs::Registry::global().sum_counter("dsx_serve_requests_total",
+                                               {{"model", model}});
+  };
+  const int64_t live_before = answered("mscope");
+  const int64_t alias_before = answered("mscope@v2");
+  const auto images = make_images(20, 83);
+  const auto ref_v2 = version_reference(store, "mscope", "v2", images);
+  for (size_t i = 0; i < images.size(); ++i) {
+    EXPECT_TRUE(bit_identical(rollout.infer("mscope", images[i]), ref_v2[i]));
+  }
+  EXPECT_EQ(answered("mscope") - live_before, 20);
+  EXPECT_EQ(answered("mscope@v2") - alias_before, 0);
+  EXPECT_EQ(server.stats("mscope").batcher.requests, 20);
 }
 
 TEST(Rollout, ManualRollbackDropsCandidate) {

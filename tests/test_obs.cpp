@@ -1247,9 +1247,16 @@ TEST(Flight, AdaptiveThresholdTracksTheWindowedP99) {
   flight::ModelState st("flight-adaptive-unit");
   EXPECT_EQ(st.adaptive_threshold_us(), 0);
   EXPECT_EQ(st.judge(1'000'000), flight::Verdict::kNone);  // not derived yet
-  // A steady ~1 ms distribution; refreshes land at kMinWindow and every
-  // kRefreshEvery observations after.
-  for (int i = 0; i < 600; ++i) st.observe(1000 + i % 5);
+  // A steady ~1 ms distribution, fed the way a batcher feeds it: record into
+  // the watched latency series, then observe(). Refreshes land at
+  // kMinWindow and every kRefreshEvery observations after.
+  Histogram latency = Registry::global().histogram(
+      "dsx_serve_request_latency_us", {{"model", "flight-adaptive-unit"}});
+  st.watch(latency);
+  for (int i = 0; i < 600; ++i) {
+    latency.record(1000 + i % 5);
+    st.observe();
+  }
   const int64_t adaptive = st.adaptive_threshold_us();
   ASSERT_GT(adaptive, 1000);  // ~1.5x the windowed p99
   EXPECT_LT(adaptive, 3000);
@@ -1263,7 +1270,13 @@ TEST(Flight, ArmedCooldownPromotesAboveTheWindowedP50AndJournals) {
   flight::ModelState* st = flight::model_state("flight-armed-unit");
   ASSERT_NE(st, nullptr);
   st->reset_for_test();
-  for (int i = 0; i < 600; ++i) st->observe(1000);
+  Histogram latency = Registry::global().histogram(
+      "dsx_serve_request_latency_us", {{"model", "flight-armed-unit"}});
+  st->watch(latency);
+  for (int i = 0; i < 600; ++i) {
+    latency.record(1000);
+    st->observe();
+  }
   // p50 floor ~= 1001, adaptive ~= 1501: a 1.2 ms reply is interesting only
   // while armed.
   ASSERT_GT(st->armed_floor_us(), 0);
@@ -1289,6 +1302,172 @@ TEST(Flight, ArmedCooldownPromotesAboveTheWindowedP50AndJournals) {
   st->arm(std::chrono::milliseconds(0));  // expire the cooldown
   EXPECT_FALSE(st->armed());
   EXPECT_EQ(st->judge(1200), flight::Verdict::kNone);
+  flight::set_absolute_threshold_us(100'000);
+}
+
+TEST(Trace, SampledAndPromotedRequestsEmitSpansOnce) {
+  // Both span paths on at once: every request is head-sampled AND promoted
+  // (a 1 us absolute threshold). Each request's timeline must land in the
+  // rings exactly once, under its sampled id.
+  clear_trace();
+  flight::reset_for_test();
+  flight::set_flight_enabled(true);
+  flight::set_absolute_threshold_us(1);
+  set_trace_sampling(1);
+
+  serve::InferenceServer server;
+  server.register_model(
+      "obs-once",
+      std::make_unique<serve::CompiledModel>(
+          make_scc_model(53), Shape{3, kImage, kImage},
+          serve::CompileOptions{.max_batch = 4}),
+      {.max_batch = 4, .max_delay = std::chrono::microseconds(500)});
+  constexpr int kRequests = 12;
+  Rng rng(19);
+  std::vector<std::future<Tensor>> inflight;
+  for (int i = 0; i < kRequests; ++i) {
+    inflight.push_back(server.submit(
+        "obs-once", random_uniform(make_nchw(1, 3, kImage, kImage), rng)));
+  }
+  for (auto& f : inflight) (void)f.get();
+  server.stop();
+  set_trace_sampling(0);
+  flight::set_absolute_threshold_us(100'000);
+
+  std::map<uint64_t, std::vector<TraceEvent>> tracks;
+  for (const TraceEvent& ev : trace_snapshot()) {
+    if (ev.pid == kRequestPid && ev.tid != 0) tracks[ev.tid].push_back(ev);
+  }
+  ASSERT_EQ(tracks.size(), static_cast<size_t>(kRequests));
+  for (const auto& [tid, events] : tracks) {
+    EXPECT_LT(tid, flight::kFlightIdBase);  // the sampled id, not a flight id
+    int requests = 0;
+    int executes = 0;
+    std::vector<std::pair<int64_t, std::string>> layers;
+    for (const TraceEvent& ev : events) {
+      const std::string name = ev.name;
+      if (name == "request") ++requests;
+      if (name == "batch_execute") ++executes;
+      if (std::string(ev.cat) == "layer") {
+        layers.emplace_back(ev.start_ns, name);
+      }
+    }
+    EXPECT_EQ(requests, 1) << "track " << tid;
+    EXPECT_EQ(executes, 1) << "track " << tid;
+    // One set of layer spans: the plan's >= 6 steps, none repeated.
+    EXPECT_GE(layers.size(), 6u);
+    std::sort(layers.begin(), layers.end());
+    EXPECT_EQ(std::adjacent_find(layers.begin(), layers.end()), layers.end())
+        << "track " << tid;
+  }
+
+  flight::ModelState* st = flight::model_state("obs-once");
+  ASSERT_NE(st, nullptr);
+  const std::vector<flight::Capture> outliers = st->outliers();
+  EXPECT_EQ(outliers.size(), static_cast<size_t>(kRequests));
+  EXPECT_EQ(flight::flight_stats().promoted, kRequests);
+  for (const flight::Capture& cap : outliers) {
+    EXPECT_EQ(cap.verdict, flight::Verdict::kAbsolute);
+    EXPECT_EQ(tracks.count(cap.trace_id), 1u) << cap.trace_id;
+  }
+  clear_trace();
+}
+
+/// Serves exactly kMinWindow sequential requests on a fresh `replicas`-wide
+/// fleet with the adaptive rule isolated, then checks that the flight
+/// window's thresholds are those of the exported
+/// dsx_serve_request_latency_us{model} series (every replica merged).
+void expect_window_is_the_exported_series(const std::string& model,
+                                          int replicas) {
+  flight::set_flight_enabled(true);
+  flight::set_absolute_threshold_us(0);
+  set_trace_sampling(0);
+  const Labels match{{"model", model}};
+  Registry& reg = Registry::global();
+  const device::LogHistogram::BucketSnapshot before =
+      reg.merged_histogram("dsx_serve_request_latency_us", match);
+  {
+    serve::InferenceServer server;
+    server.register_model(
+        model,
+        std::make_unique<serve::CompiledModel>(
+            make_scc_model(59), Shape{3, kImage, kImage},
+            serve::CompileOptions{.max_batch = 4}),
+        // Round-robin: sequential requests alternate replicas.
+        {.max_batch = 4,
+         .replicas = replicas,
+         .policy = shard::RoutingPolicy::kRoundRobin});
+    // The window restarts at the fleet's first observation (re-runs of the
+    // test reuse the process-lifetime cells and state).
+    flight::reset_for_test();
+    Rng rng(23);
+    const Tensor image = random_uniform(make_nchw(1, 3, kImage, kImage), rng);
+    for (int64_t i = 0; i < flight::ModelState::kMinWindow; ++i) {
+      (void)server.infer(model, image);
+    }
+    server.stop();
+  }
+  flight::set_absolute_threshold_us(100'000);
+
+  const device::LogHistogram::Snapshot series =
+      device::LogHistogram::delta_snapshot(
+          reg.merged_histogram("dsx_serve_request_latency_us", match), before);
+  ASSERT_EQ(series.count, flight::ModelState::kMinWindow);
+  flight::ModelState* st = flight::model_state(model.c_str());
+  ASSERT_NE(st, nullptr);
+  EXPECT_EQ(st->adaptive_threshold_us(),
+            static_cast<int64_t>(1.5 * series.p99) + 1);
+  EXPECT_EQ(st->armed_floor_us(), static_cast<int64_t>(series.p50) + 1);
+}
+
+TEST(Flight, WindowIsTheExportedLatencySeries) {
+  expect_window_is_the_exported_series("flight-window", 1);
+}
+
+TEST(Flight, WindowMergesEveryReplicaOfTheModel) {
+  expect_window_is_the_exported_series("flight-window-r2", 2);
+  // Both replicas answered, so the merged window spans two cells.
+  for (int r = 0; r < 2; ++r) {
+    EXPECT_GT(Registry::global()
+                  .histogram("dsx_serve_request_latency_us",
+                             {{"model", "flight-window-r2"},
+                              {"replica", std::to_string(r)}})
+                  .snapshot()
+                  .count,
+              0)
+        << "replica " << r;
+  }
+}
+
+TEST(Flight, WindowRefreshRacesRecordingThreads) {
+  // Serving threads write the watched cells while observe() refreshes from
+  // them on whichever thread crossed the trigger; watch() may run
+  // concurrently too (a hot-swap re-resolving the same cells).
+  flight::set_absolute_threshold_us(0);
+  flight::ModelState st("flight-window-race");
+  constexpr int kThreads = 4;
+  std::vector<Histogram> cells;
+  for (int r = 0; r < kThreads; ++r) {
+    cells.push_back(Registry::global().histogram(
+        "dsx_serve_request_latency_us",
+        {{"model", "flight-window-race"}, {"replica", std::to_string(r)}}));
+    st.watch(cells.back());
+  }
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < 2000; ++i) {
+        cells[static_cast<size_t>(t)].record(1000 + i % 7);
+        st.observe();
+        if (i % 500 == 0) st.watch(cells[static_cast<size_t>(t)]);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_GT(st.adaptive_threshold_us(), 1000);
+  EXPECT_LT(st.adaptive_threshold_us(), 3000);
+  EXPECT_GT(st.armed_floor_us(), 900);
+  EXPECT_LT(st.armed_floor_us(), 1200);
   flight::set_absolute_threshold_us(100'000);
 }
 

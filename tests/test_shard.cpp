@@ -411,6 +411,42 @@ TEST(DeadlineBatcher, BoundedQueueRejectsWithQueueFull) {
   EXPECT_EQ(f2.get().numel(), kClasses);
 }
 
+TEST(DeadlineBatcher, RescopeUnderLiveTrafficLosesNoObservation) {
+  // A promoted rollout candidate is renamed while it serves: submitters and
+  // the worker keep observing while rescope() moves the series. Every
+  // answered request lands in exactly one of the two scopes.
+  auto compiled = make_compiled(97);
+  DeadlineBatcher batcher(*compiled,
+                          {.max_batch = 4, .metric_model = "rescope-from"});
+  const auto answered = [](const char* model) {
+    return obs::Registry::global().sum_counter("dsx_serve_requests_total",
+                                               {{"model", model}});
+  };
+  const int64_t from0 = answered("rescope-from");
+  const int64_t to0 = answered("rescope-to");
+  const auto images = make_images(2, 98);
+  constexpr int kThreads = 3;
+  constexpr int kPerThread = 40;
+  std::atomic<int> done{0};
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kThreads; ++t) {
+    clients.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        (void)batcher.infer(images[static_cast<size_t>((t + i) % 2)]);
+        done.fetch_add(1);
+      }
+    });
+  }
+  // Rescope mid-stream: each client still has most of its requests to go.
+  while (done.load() < kThreads) std::this_thread::yield();
+  batcher.rescope("rescope-to", -1);
+  for (std::thread& c : clients) c.join();
+  batcher.stop();
+  EXPECT_EQ(answered("rescope-from") - from0 + answered("rescope-to") - to0,
+            kThreads * kPerThread);
+  EXPECT_GT(answered("rescope-to") - to0, 0);
+}
+
 TEST(DeadlineBatcher, OptionsValidation) {
   auto compiled = make_compiled(91);
   EXPECT_THROW(DeadlineBatcher(*compiled, {.max_batch = -1}),
